@@ -64,15 +64,15 @@ def test_layer_metrics_counts_and_ratios():
              [1, 6.0, 6.5, -1]]
     export = {"names": names, "spans": spans, "entries_scored": 7,
               "updated_fractions": [0.5, 1.0]}
-    out = tracing.layer_metrics([export, export])
-    assert out["model.encode_item.calls"] == 10
+    out = tracing.layer_metrics(export)
+    assert out["model.encode_item.calls"] == 5
     assert out["model.items_encoded_per_request"] == 2.0
     assert out["generator.forwards_per_update"] == 1.0
-    assert out["generator.generator_forward.self_s"] == pytest.approx(0.5)
-    assert out["harness.recommend_payload.self_s"] == pytest.approx(2 * (0.7 + 0.8))
-    assert out["retrieval.entries_scored"] == 14
+    assert out["generator.generator_forward.self_s"] == pytest.approx(0.25)
+    assert out["harness.recommend_payload.self_s"] == pytest.approx(0.7 + 0.8)
+    assert out["retrieval.entries_scored"] == 7
     assert out["adaptive.updated_fraction_mean"] == 0.75
-    assert out["trace.spans"] == 18
+    assert out["trace.spans"] == 9
     assert set(out) <= {name for name, _, _ in tracing.PER_LAYER}
 
 

@@ -5,7 +5,7 @@ A :class:`Tracer` replaces each traced public function with a wrapper under
 every name a caller looks it up by (``mmrec.harness.retrieve_top_k`` as well
 as ``mmrec.retrieval.retrieve_top_k``; methods on their class). A wrapper
 records one span (name, start, end, parent) in memory. :func:`layer_metrics`
-turns the spans of one or more processes into the per-layer metrics.
+turns the spans of one run into the per-layer metrics.
 Per-entry helpers such as ``numerics.cosine`` are deliberately not wrapped:
 they run hundreds of thousands of times per epoch.
 """
@@ -261,35 +261,29 @@ def operation_of(spans: list[list], roots: tuple[str, ...]) -> list[int]:
     return out
 
 
-def layer_metrics(exports: list[dict]) -> dict[str, float]:
+def layer_metrics(export: dict) -> dict[str, float]:
     """Per-layer counts, self times and ratios over the exported spans of
-    every process of one run (the traced end-to-end figures and the
-    overhead estimate are added by the caller)."""
+    one run (the traced end-to-end figures and the overhead estimate are
+    added by the caller)."""
     calls: dict[str, int] = {}
     self_s: dict[str, float] = {}
     encodes_in_requests = requests = forwards_in_updates = updates = 0
-    entries_scored = 0
-    fractions: list[float] = []
-    n_spans = 0
-    for exp in exports:
-        spans = [[exp["names"][c], s, e, p] for c, s, e, p in exp["spans"]]
-        n_spans += len(spans)
-        for (name, *_), st in zip(spans, self_times(spans)):
-            calls[name] = calls.get(name, 0) + 1
-            self_s[name] = self_s.get(name, 0.0) + st
-        ops = operation_of(spans, (REQUEST, UPDATE))
-        for (name, *_), op in zip(spans, ops):
-            root = spans[op][0] if op >= 0 else None
-            if name == REQUEST:
-                requests += 1
-            elif name == UPDATE:
-                updates += 1
-            elif name == "model.encode_item" and root == REQUEST:
-                encodes_in_requests += 1
-            elif name == "generator.generator_forward" and root == UPDATE:
-                forwards_in_updates += 1
-        entries_scored += exp["entries_scored"]
-        fractions += exp["updated_fractions"]
+    spans = [[export["names"][c], s, e, p] for c, s, e, p in export["spans"]]
+    for (name, *_), st in zip(spans, self_times(spans)):
+        calls[name] = calls.get(name, 0) + 1
+        self_s[name] = self_s.get(name, 0.0) + st
+    ops = operation_of(spans, (REQUEST, UPDATE))
+    for (name, *_), op in zip(spans, ops):
+        root = spans[op][0] if op >= 0 else None
+        if name == REQUEST:
+            requests += 1
+        elif name == UPDATE:
+            updates += 1
+        elif name == "model.encode_item" and root == REQUEST:
+            encodes_in_requests += 1
+        elif name == "generator.generator_forward" and root == UPDATE:
+            forwards_in_updates += 1
+    fractions = export["updated_fractions"]
 
     out: dict[str, float] = {}
     for metric, _, _ in PER_LAYER:
@@ -298,12 +292,12 @@ def layer_metrics(exports: list[dict]) -> dict[str, float]:
             out[metric] = calls.get(base, 0)
         elif kind == "self_s":
             out[metric] = self_s.get(base, 0.0)
-    out["retrieval.entries_scored"] = entries_scored
+    out["retrieval.entries_scored"] = export["entries_scored"]
     out["model.items_encoded_per_request"] = (
         encodes_in_requests / requests if requests else 0.0)
     out["generator.forwards_per_update"] = (
         forwards_in_updates / updates if updates else 0.0)
     out["adaptive.updated_fraction_mean"] = (
         sum(fractions) / len(fractions) if fractions else 0.0)
-    out["trace.spans"] = n_spans
+    out["trace.spans"] = len(spans)
     return out

@@ -1,9 +1,9 @@
 """The benchmark's workloads and the inputs they are made of.
 
-Both workloads run one life cycle. The offline phase trains a model on the
-200-user planted population with every feature flag on and evaluates it;
-the model is saved. The service phase starts a process that loads the
-2000-user population and the checkpoint, then answers rounds of one read
+Both workloads run one life cycle in one process. The offline phase trains
+a model on the 200-user planted population with every feature flag on and
+evaluates it; the model is saved. The service phase loads the 2000-user
+population and the checkpoint, then answers rounds of one read
 (``recommend_payload``) and one write (``online_update``). In ``serve`` the
 writes go to a shadow copy of the model, so every read sees one snapshot;
 in ``feedback`` they go to the served model, so every read follows a write.
@@ -41,8 +41,6 @@ N_RECS = 10
 # the tail rule: at least ten reads and ten writes beyond the 90th percentile
 MIN_ROUNDS = 100
 EVAL_ROUNDS = 3           # evaluate calls per run; the median call is reported
-REQUEST_SKEW = 1.0        # Zipf exponent of the user drawn for each request
-EXPLICIT_SHARE = 0.3      # share of feedback events that carry a rating
 FRESHNESS_EVERY = 20      # every n-th read is compared with a fresh model
 RETRIEVAL_SAMPLE = 10     # queries checked against the retrieval oracle
 EPOCHS = 1
@@ -99,32 +97,26 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def request_users(seed: int, user_ids: list[str]):
-    """Endless seeded stream of request users with a Zipf skew over a
-    seeded ranking of the users, so that some users repeat."""
+    """Endless seeded stream of request users, drawn uniformly with
+    replacement: no request skew is assumed."""
     rng = _stream_rng(seed, 1)
-    ranked = [user_ids[i] for i in rng.permutation(len(user_ids))]
-    weights = 1.0 / np.arange(1, len(ranked) + 1) ** REQUEST_SKEW
-    weights /= weights.sum()
     while True:
-        for i in rng.choice(len(ranked), size=256, p=weights):
-            yield ranked[int(i)]
+        for i in rng.integers(len(user_ids), size=256):
+            yield user_ids[int(i)]
 
 
-def feedback_events(seed: int, user_ids: list[str], item_ids: list[str],
-                    t0: int):
-    """Endless seeded stream of feedback events: a skewed user, a uniform
-    catalog item, a rating on EXPLICIT_SHARE of them, rising timestamps."""
+def feedback_events(seed: int, ds):
+    """Endless seeded stream of feedback events: the population's held-out
+    (validation and test) interactions, as synth generated them, replayed in
+    a seeded order. Kind and rating are the logged ones, so the explicit
+    share and the ratings follow the planted preferences."""
     rng = _stream_rng(seed, 2)
-    users = request_users(seed + 1_000_003, user_ids)
-    t = t0
+    held_out = sorted(ds.split.validation + ds.split.test)
     while True:
-        t += 1000
-        event = {"user": next(users),
-                 "item": item_ids[int(rng.integers(len(item_ids)))],
-                 "timestamp": t}
-        if rng.random() < EXPLICIT_SHARE:
-            event["kind"] = "explicit"
-            event["value"] = round(float(rng.uniform(1.0, 5.0)), 1)
-        else:
-            event["kind"] = "implicit"
-        yield event
+        for j in rng.permutation(len(held_out)):
+            it = ds.interactions[held_out[int(j)]]
+            event = {"user": it.user_id, "item": it.item_id,
+                     "kind": it.feedback_kind, "timestamp": it.timestamp}
+            if it.rating is not None:
+                event["value"] = it.rating
+            yield event
