@@ -4,6 +4,10 @@ Format: magic ``MMRC``, u32 format version, u64 header length, JSON header
 (tensor manifest per section, provenance), then raw little-endian float64
 tensor payloads in manifest order, each length-prefixed with a u64.
 Round-trips are bit-exact.
+
+Version 2 stores no cross-modal query/key tensors (``xm.*.q``/``xm.*.k``),
+which version 1 carried although they could not reach any output. Loading
+a file of any other version raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .adaptive import EwcState, OptimizerState
 
 MAGIC = b"MMRC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 SECTIONS = ("params", "adv", "momentum", "fisher", "anchor")
 

@@ -3,7 +3,7 @@
 Subcommands: ingest, train, evaluate, ablate, recommend, explain,
 online-update, report. Dataset paths in the config file are resolved
 against $MMREC_DATA_ROOT when set. Exit codes: 0 success, 1 usage,
-2 data error, 3 numerical failure.
+2 data or checkpoint error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -269,7 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DataError, FileNotFoundError, HarnessError) as exc:
+    except (ckpt_io.CheckpointError, DataError, FileNotFoundError,
+            HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, OverflowError, ArithmeticError) as exc:

@@ -286,7 +286,6 @@ def build_dataset(
             users[it.user_id] = UserRecord(
                 user_id=it.user_id, group_label=assign_group(it.user_id, n_groups)
             )
-    kept = set(split.train)
     for uid in sorted(users):
         hist = [
             (known[i].timestamp, known[i].item_id)
@@ -295,7 +294,6 @@ def build_dataset(
         ]
         hist.sort()
         users[uid].history = [item for _, item in hist]
-    del kept
 
     item_ids = sorted(items)
     cat_vocab = {
@@ -340,88 +338,3 @@ def load_dataset(
     items = parse_items(items_path, vocab)
     users = parse_users(users_path, n_groups) if users_path else {}
     return build_dataset(interactions, items, users, vocab, train_fraction, n_groups)
-
-
-def serialize_dataset(ds: Dataset) -> str:
-    """Canonical JSON serialization (used for round-trip checks)."""
-    payload = {
-        "interactions": [
-            [it.user_id, it.item_id, it.rating, it.timestamp, it.feedback_kind]
-            for it in ds.interactions
-        ],
-        "items": {
-            iid: {
-                "title": rec.title,
-                "tokens": rec.description_tokens,
-                "categories": sorted(rec.categories),
-                "numeric": rec.numeric_features.tolist(),
-                "popularity": rec.popularity_count,
-            }
-            for iid, rec in sorted(ds.items.items())
-        },
-        "users": {
-            uid: {
-                "group": rec.group_label,
-                "profile": rec.profile_features.tolist(),
-                "history": rec.history,
-            }
-            for uid, rec in sorted(ds.users.items())
-        },
-        "vocab": ds.vocab,
-        "split": {
-            "train": ds.split.train,
-            "validation": ds.split.validation,
-            "test": ds.split.test,
-        },
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def deserialize_dataset(blob: str) -> Dataset:
-    payload = json.loads(blob)
-    interactions = [
-        Interaction(u, i, r, t, k) for u, i, r, t, k in payload["interactions"]
-    ]
-    items = {
-        iid: ItemRecord(
-            item_id=iid,
-            title=obj["title"],
-            description_tokens=list(obj["tokens"]),
-            categories=frozenset(obj["categories"]),
-            numeric_features=np.asarray(obj["numeric"], dtype=np.float64),
-            popularity_count=obj["popularity"],
-        )
-        for iid, obj in payload["items"].items()
-    }
-    users = {
-        uid: UserRecord(
-            user_id=uid,
-            history=list(obj["history"]),
-            group_label=obj["group"],
-            profile_features=np.asarray(obj["profile"], dtype=np.float64),
-        )
-        for uid, obj in payload["users"].items()
-    }
-    split = TemporalSplit(
-        train=list(payload["split"]["train"]),
-        validation=list(payload["split"]["validation"]),
-        test=list(payload["split"]["test"]),
-    )
-    counts, freqs = popularity_table([interactions[i] for i in split.train])
-    item_ids = sorted(items)
-    cat_vocab = {
-        c: i
-        for i, c in enumerate(sorted({c for it in items.values() for c in it.categories}))
-    }
-    return Dataset(
-        interactions=interactions,
-        items=items,
-        users=users,
-        split=split,
-        vocab=payload["vocab"],
-        popularity=counts,
-        pop_freq=freqs,
-        item_ids=item_ids,
-        item_index={iid: i for i, iid in enumerate(item_ids)},
-        category_vocab=cat_vocab,
-    )

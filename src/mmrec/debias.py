@@ -1,12 +1,11 @@
 """Causal debiasing: propensity estimation with inverse propensity
-scoring, backdoor adjustment over popularity strata, an adversarial
-demographic head with gradient reversal, and the demographic parity gap.
+scoring, an adversarial demographic head with gradient reversal, and the
+demographic parity gap.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,61 +92,7 @@ def ips_loss(
     return float(np.sum(losses * weights) * 1.0), weights
 
 
-# ------------------------------------------------------ backdoor adjustment
-
-@dataclass
-class PopularityStrata:
-    boundaries: list[float]          # ascending popularity-count boundaries
-    priors: np.ndarray               # P(P_i = p) per bucket
-
-    def __post_init__(self):
-        if abs(float(np.sum(self.priors)) - 1.0) > 1e-9:
-            raise DebiasError("strata priors must sum to 1")
-
-    def stratum_of(self, popularity: float) -> int:
-        return int(np.searchsorted(self.boundaries, popularity, side="right"))
-
-
-def quartile_strata(popularities: list[int]) -> PopularityStrata:
-    """Popularity quartile buckets with empirical priors."""
-    arr = np.asarray(sorted(popularities), dtype=np.float64)
-    qs = [float(np.quantile(arr, q)) for q in (0.25, 0.5, 0.75)]
-    strata = PopularityStrata(boundaries=qs, priors=np.ones(4) / 4)
-    counts = np.zeros(4)
-    for p in popularities:
-        counts[strata.stratum_of(p)] += 1
-    strata.priors = counts / counts.sum()
-    return strata
-
-
-def backdoor_adjusted_score(
-    conditionals: list[float], strata: PopularityStrata
-) -> float:
-    """Average the per-stratum conditionals P(Y | x, p) over the stratum
-    priors. A missing stratum estimate (NaN) is an error."""
-    cond = np.asarray(conditionals, dtype=np.float64)
-    if cond.size != strata.priors.size:
-        raise DebiasError("one conditional estimate required per stratum")
-    if np.any(np.isnan(cond)):
-        raise DebiasError("missing stratum estimate")
-    return float(np.dot(cond, strata.priors))
-
-
 # ------------------------------------------------------- adversarial head
-
-@dataclass
-class FairnessConfig:
-    lambda_fair: float = 0.0
-    parity_threshold: float = 0.5
-    parity_tolerance: float = 0.1
-    groups: list[str] = field(default_factory=lambda: ["g0", "g1"])
-    adversary_input: str = "score"   # "score" or "representation"
-    reversal_coeff: float = 1.0
-
-    def __post_init__(self):
-        if len(self.groups) < 2:
-            raise DebiasError("need at least two demographic groups")
-
 
 def init_adversary(rng: np.random.Generator, in_dim: int, n_groups: int) -> dict:
     return {"adv.w": init_matrix(rng, (in_dim, n_groups)),
@@ -158,18 +103,17 @@ def adversary_loss(
     inputs: np.ndarray,
     group_ids: np.ndarray,
     adv_params: dict,
-    group_weights: np.ndarray | None = None,
     reversal_coeff: float = 1.0,
 ) -> tuple[float, dict, np.ndarray]:
     """Group-weighted negative log-likelihood of the true group given the
-    predicted score (or representation).
+    fused user representation.
 
     inputs: [N, in_dim]. Returns (loss, adversary grads, d_inputs) where
     d_inputs is the main-model gradient already sign-reversed by
     ``reversal_coeff`` (the gradient-reversal realization of the min-max;
     pass reversal_coeff=-1 to recover the true gradient).
-    With empirical group weights the loss reduces to mean cross-entropy,
-    so a uniform adversary over G groups yields ln G.
+    Group weights are the empirical group shares, so the loss reduces to
+    mean cross-entropy and a uniform adversary over G groups yields ln G.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     gids = np.asarray(group_ids, dtype=int)
@@ -179,8 +123,7 @@ def adversary_loss(
         raise DebiasError("empty batch")
     n_groups = adv_params["adv.b"].size
     counts = np.bincount(gids, minlength=n_groups).astype(np.float64)
-    if group_weights is None:
-        group_weights = counts / counts.sum()
+    group_weights = counts / counts.sum()
     # per-sample weight: P(S=s)/N_s so each group's mean log-prob is
     # weighted by its probability mass
     sample_w = np.array([group_weights[g] / counts[g] for g in gids])
@@ -218,26 +161,3 @@ def parity_gap(
         for j in range(i + 1, len(names)):
             gap = max(gap, abs(rates[names[i]] - rates[names[j]]))
     return gap
-
-
-def fairness_report(
-    scores_by_group: dict[str, np.ndarray], config: FairnessConfig
-) -> dict:
-    """JSON-ready fairness report: per-group positive rates, gap, verdict."""
-    tau = config.parity_threshold
-    rates = {
-        g: float(np.mean(np.asarray(s) > tau)) for g, s in sorted(scores_by_group.items())
-    }
-    gap = parity_gap(scores_by_group, tau)
-    return {
-        "per_group_positive_rate": rates,
-        "parity_gap": gap,
-        "tau": tau,
-        "epsilon": config.parity_tolerance,
-        "verdict": "pass" if gap <= config.parity_tolerance else "fail",
-    }
-
-
-def write_fairness_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)

@@ -46,14 +46,6 @@ class PreferenceHead:
             raise ExplainError("need at least 2 aspects")
 
 
-def init_preference_head(
-    rng: np.random.Generator, d: int, aspect_labels: list[str]
-) -> PreferenceHead:
-    a = len(aspect_labels)
-    return PreferenceHead(w=init_matrix(rng, (d, a)), b=np.zeros(a),
-                          aspect_labels=list(aspect_labels))
-
-
 @dataclass
 class ExplanationDecision:
     alpha_pref: float

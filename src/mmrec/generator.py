@@ -69,7 +69,6 @@ class ForwardResult:
     logits: np.ndarray
     allowed: np.ndarray        # boolean mask over catalog
     h_t: np.ndarray
-    seq_logits: np.ndarray     # logits at every sequence position
     _cache: dict = field(repr=False, default_factory=dict)
 
 
@@ -112,7 +111,6 @@ def generator_forward(request: GenerationRequest, params: dict) -> ForwardResult
 
     h_t = x[-1]
     logits = h_t @ params["gen.wout"] + params["gen.bout"]
-    seq_logits = x @ params["gen.wout"] + params["gen.bout"]
 
     allowed = np.ones(n_items, dtype=bool)
     for e in request.exclude:
@@ -131,7 +129,7 @@ def generator_forward(request: GenerationRequest, params: dict) -> ForwardResult
         "bos": bos,
     }
     return ForwardResult(probs=probs, logits=logits, allowed=allowed, h_t=h_t,
-                         seq_logits=seq_logits, _cache=cache)
+                         _cache=cache)
 
 
 def generator_backward(
@@ -179,11 +177,6 @@ def generator_backward(
     return d_h_user
 
 
-def next_item_distribution(request: GenerationRequest, params: dict) -> np.ndarray:
-    """Probability vector over the catalog (excluded items exactly 0)."""
-    return generator_forward(request, params).probs
-
-
 def recommend_top_n(
     request: GenerationRequest, params: dict
 ) -> list[tuple[int, float]]:
@@ -207,27 +200,6 @@ def nll_dlogits(fr: ForwardResult, target: int) -> tuple[float, np.ndarray]:
     dlogits[target] -= 1.0
     dlogits[~fr.allowed] = 0.0
     return -float(np.log(p_t)), dlogits
-
-
-def score_dlogits(fr: ForwardResult, target: int, dscore: float) -> np.ndarray:
-    """Gradient w.r.t. logits of an upstream gradient on p(target)."""
-    p = fr.probs
-    d = -dscore * p[target] * p
-    d[target] += dscore * p[target]
-    d[~fr.allowed] = 0.0
-    return d
-
-
-def sequence_nll(
-    request: GenerationRequest, target: int, params: dict, grads: dict
-) -> tuple[float, np.ndarray, ForwardResult]:
-    """Negative log-likelihood of the target item; accumulates generator
-    gradients into ``grads`` and returns (loss, d_h_user, forward result)
-    so upstream encoder/fusion gradients can continue the chain."""
-    fr = generator_forward(request, params)
-    loss, dlogits = nll_dlogits(fr, target)
-    d_h_user = generator_backward(fr, dlogits, params, grads)
-    return loss, d_h_user, fr
 
 
 def predictive_entropy(fr: ForwardResult) -> float:

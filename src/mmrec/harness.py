@@ -70,8 +70,6 @@ class ExperimentConfig:
     lambda_fair: float = 1.0
     propensity_clip: float = 0.01
     use_ips: bool = True
-    parity_tau: float = 0.5
-    parity_epsilon: float = 0.1
     adversary_lr: float = 0.5
     adversary_steps: int = 1
     adversary_decay: float = 0.01
@@ -543,8 +541,11 @@ def evaluate(
         exclude={u: set(ds.users[u].history) - {truth.get(u)} for u in users},
     )
 
-    all_scores = sorted(s for entries in scored.values() for _, s in entries)
-    tau = all_scores[len(all_scores) // 2] if all_scores else 0.0
+    # fairness compares each user's top-10 scores against the median of
+    # exactly those scores, pooled over users
+    top10 = {u: entries[:10] for u, entries in scored.items()}
+    pooled = [s for entries in top10.values() for _, s in entries]
+    tau = float(np.median(pooled)) if pooled else 0.0
 
     def report_for(lsts, scored_lists=None) -> metrics.EvalReport:
         rep = metrics.EvalReport(
@@ -565,12 +566,12 @@ def evaluate(
         )
         if scored_lists is not None:
             rep.metrics["fairness"] = metrics.fairness_score(
-                {u: v[:10] for u, v in scored_lists.items()}, groups, tau
+                scored_lists, groups, tau
             )
         return rep
 
     reports = {
-        "model": report_for(lists, scored),
+        "model": report_for(lists, top10),
         "random": report_for(rand_lists),
         "popularity": report_for(pop_lists),
     }
@@ -688,10 +689,15 @@ def online_update(
     weights: FeedbackWeights | None = None,
 ) -> list[dict]:
     """Consume a feedback event stream (dicts with user/item/kind/value/
-    timestamp) one event at a time; returns the per-event update log."""
+    timestamp) one event at a time; returns the per-event update log.
+
+    Each event's item is appended to a copy of its user's history, which
+    later events of the same call see. The copies last only for the call:
+    ``ds.users`` is never changed, and the next call starts from it again.
+    """
     flags = config.feature_flags()
     weights = weights or FeedbackWeights(gamma_reg=config.gamma_reg)
-    histories = {u: list(ds.users[u].history) for u in ds.users}
+    histories: dict[str, list[str]] = {}
     logs = []
     for ev in events:
         missing = {"user", "item", "kind"} - set(ev)
@@ -701,7 +707,7 @@ def online_update(
         if uid not in ds.users or iid not in ds.item_index:
             raise HarnessError(f"unknown user/item in event: {uid}/{iid}")
         user = ds.users[uid]
-        hist = histories[uid]
+        hist = histories.setdefault(uid, list(user.history))
         target_idx = ds.item_index[iid]
 
         probe = model.example_nll(user, hist, target_idx, ds, flags)

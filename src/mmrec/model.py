@@ -206,27 +206,6 @@ class Model:
             mm.multimodal_backward(d_h_user, mcache, self.params, grads)
         return ExampleResult(loss=loss, forward=fr, mm_cache=mcache, h_user=h_user)
 
-    def backprop_score(
-        self, result: ExampleResult, target_idx: int, dscore: float, grads: dict
-    ) -> None:
-        """Backprop an upstream gradient on the score p(target) through the
-        whole stack (used for the adversarial fairness term)."""
-        dlogits = gen.score_dlogits(result.forward, target_idx, dscore)
-        d_h_user = gen.generator_backward(result.forward, dlogits, self.params, grads)
-        mm.multimodal_backward(d_h_user, result.mm_cache, self.params, grads)
-
-    def backprop_logprob(
-        self, result: ExampleResult, target_idx: int, dscore: float, grads: dict
-    ) -> None:
-        """Backprop an upstream gradient on log p(target) through the whole
-        stack; d log p / d logits = onehot - probs on allowed coordinates."""
-        dlogits = result.forward.probs.copy()
-        dlogits[target_idx] -= 1.0
-        dlogits[~result.forward.allowed] = 0.0
-        dlogits *= -dscore
-        d_h_user = gen.generator_backward(result.forward, dlogits, self.params, grads)
-        mm.multimodal_backward(d_h_user, result.mm_cache, self.params, grads)
-
     def example_rating_loss(
         self,
         user: UserRecord,
@@ -248,7 +227,7 @@ class Model:
         if grads is None:
             pred = gen.rating_prediction(fr, self.params)
             return (pred - rating) ** 2
-        scratch = {k: np.zeros_like(v) for k, v in self.params.items()}
+        scratch = self.zero_grads()
         loss, d_h_user = gen.rating_loss(fr, rating, self.params, scratch)
         for k, v in scratch.items():
             grads[k] += weight * v
@@ -281,13 +260,10 @@ class Model:
         flags: FeatureFlags,
         n: int,
         context_embeddings: list[np.ndarray] | None = None,
-        exclude_seen: bool = True,
     ) -> list[tuple[str, float]]:
+        """Top-``n`` catalog items, never one from ``history_ids``."""
         h_user, _ = self.encode_user(user, history_ids, ds, flags)
-        exclude = (
-            {ds.item_index[i] for i in history_ids if i in ds.item_index}
-            if exclude_seen else set()
-        )
+        exclude = {ds.item_index[i] for i in history_ids if i in ds.item_index}
         request = gen.GenerationRequest(
             h_user=h_user,
             context_embeddings=list(context_embeddings or []),
@@ -299,7 +275,7 @@ class Model:
         return [(ds.item_ids[i], s) for i, s in ranked]
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+        return mm.zero_grads(self.params)
 
 
 def flatten(params: dict[str, np.ndarray], names: list[str] | None = None):

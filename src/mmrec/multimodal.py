@@ -5,10 +5,10 @@ Cross-modal mixing is pairwise attention from each modality to each other
 one. Every modality is encoded to a single pooled vector, so each pair
 attends over exactly one key: the softmax weight is exactly 1 and the
 attended output is exactly the value projection ``h_n @ V_mn``. The mixing
-is computed in that form. The query/key matrices ``xm.*.q`` / ``xm.*.k``
-cannot reach any output; they are kept (with their RNG draws) so that
-initialisation and checkpoints stay unchanged, and their gradient is
-exactly zero.
+is computed in that form, and only the value matrices ``xm.{m}.{n}.v`` are
+parameters: query/key matrices could not reach any output. Their random
+draws are still made and discarded, so that the initial value of every
+other tensor stays the same function of the seed.
 
 Parameters live in a flat dict of name -> float64 ndarray; every forward
 function returns a cache and has a matching hand-derived backward that
@@ -61,8 +61,8 @@ def init_encoder_params(
         for n in MODALITIES:
             if m == n:
                 continue
-            p[f"xm.{m}.{n}.q"] = init_matrix(rng, (d, d_k))
-            p[f"xm.{m}.{n}.k"] = init_matrix(rng, (d, d_k))
+            init_matrix(rng, (d, d_k))   # query draw, discarded
+            init_matrix(rng, (d, d_k))   # key draw, discarded
             p[f"xm.{m}.{n}.v"] = init_matrix(rng, (d, d))
     M = len(MODALITIES)
     p["fus.w"] = init_matrix(rng, (M, d))

@@ -7,7 +7,6 @@ and credibility. Retrieval is an exact linear scan.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -77,7 +76,6 @@ def build_index(
     embed_item,
     item_timestamps: dict[str, int],
     popularity: dict[str, int],
-    category_members: dict[str, list[str]] | None = None,
 ) -> list[ContextEntry]:
     """One entry per item description plus one per category centroid.
 
@@ -111,11 +109,10 @@ def build_index(
     if skipped:
         log.info("skipped %d items without description/categories", skipped)
 
-    if category_members is None:
-        category_members = {}
-        for iid in sorted(items):
-            for c in sorted(items[iid].categories):
-                category_members.setdefault(c, []).append(iid)
+    category_members: dict[str, list[str]] = {}
+    for iid in sorted(items):
+        for c in sorted(items[iid].categories):
+            category_members.setdefault(c, []).append(iid)
     for cat in sorted(category_members):
         members = [m for m in category_members[cat] if m in embeddings]
         if not members:
@@ -175,34 +172,3 @@ def retrieve_top_k(
     scored.sort(key=lambda se: (-se[0], se[1].entry_id))
     top = scored[: config.k]
     return RetrievedContext(entries=[(e, s) for s, e in top])
-
-
-def dump_index(index: list[ContextEntry], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in index:
-            fh.write(json.dumps({
-                "entry_id": e.entry_id,
-                "source_item_id": e.source_item_id,
-                "embedding": e.embedding.tolist(),
-                "timestamp": e.timestamp,
-                "credibility": e.credibility,
-                "text": e.text,
-            }) + "\n")
-
-
-def load_index(path: str) -> list[ContextEntry]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            out.append(ContextEntry(
-                entry_id=obj["entry_id"],
-                source_item_id=obj["source_item_id"],
-                embedding=np.asarray(obj["embedding"], dtype=np.float64),
-                timestamp=obj["timestamp"],
-                credibility=obj["credibility"],
-                text=obj["text"],
-            ))
-    return out

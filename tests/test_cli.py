@@ -138,6 +138,16 @@ def test_data_errors(workdir, capsys):
                  "--checkpoint", workdir["ckpt"], "--user", "ghost"]) == EXIT_DATA
 
 
+def test_bad_checkpoint_version_exit_code(workdir, tmp_path, capsys):
+    # a checkpoint of another format version is a data error, not a traceback
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(b"MMRC" + (1).to_bytes(4, "little") + bytes(8))
+    rc = main(["recommend", "--config", workdir["config"],
+               "--checkpoint", str(old), "--user", workdir["user"]])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_data_root_env_var(workdir, monkeypatch, tmp_path, capsys):
     # relative paths in the config resolve against MMREC_DATA_ROOT
     cfg = json.loads(open(workdir["config"]).read())

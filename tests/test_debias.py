@@ -1,24 +1,19 @@
 """Debiasing oracle tests: IPS arithmetic, propensity fitting on separable
-data, backdoor adjustment hand values, adversary loss anchors (uniform ->
-ln G, perfect -> ~0), gradient reversal, and the parity gap."""
+data, adversary loss anchors (uniform -> ln G, perfect -> ~0), gradient
+reversal, and the parity gap."""
 
 import numpy as np
 import pytest
 
 from mmrec.debias import (
     DebiasError,
-    FairnessConfig,
     PropensityModel,
     adversary_loss,
-    backdoor_adjusted_score,
     estimate_propensity,
-    fairness_report,
     fit_propensity,
     init_adversary,
     ips_loss,
     parity_gap,
-    quartile_strata,
-    write_fairness_report,
 )
 from mmrec.numerics import finite_diff_grad, make_rng, rel_error
 
@@ -69,30 +64,6 @@ def test_fit_propensity_separable_accuracy():
 def test_fit_propensity_single_class_errors():
     with pytest.raises(DebiasError):
         fit_propensity(np.ones((3, 2)), np.zeros((0, 2)))
-
-
-def test_quartile_strata_priors():
-    pops = list(range(100))
-    strata = quartile_strata(pops)
-    assert strata.priors.sum() == pytest.approx(1.0)
-    assert np.all(strata.priors > 0)
-    # low popularity falls in the lowest stratum, high in the highest
-    assert strata.stratum_of(0) == 0
-    assert strata.stratum_of(99) == 3
-
-
-def test_backdoor_adjustment_hand_worked():
-    from mmrec.debias import PopularityStrata
-
-    strata = PopularityStrata(boundaries=[1, 2, 3],
-                              priors=np.array([0.1, 0.2, 0.3, 0.4]))
-    # sum_p P(Y|x,p) P(p) = .5*.1 + .6*.2 + .7*.3 + .8*.4 = 0.7
-    score = backdoor_adjusted_score([0.5, 0.6, 0.7, 0.8], strata)
-    assert score == pytest.approx(0.7)
-    with pytest.raises(DebiasError):
-        backdoor_adjusted_score([0.5, np.nan, 0.7, 0.8], strata)
-    with pytest.raises(DebiasError):
-        backdoor_adjusted_score([0.5, 0.6], strata)
 
 
 def test_adversary_uniform_predictions_give_ln_g():
@@ -164,24 +135,3 @@ def test_parity_gap_hand_worked():
 def test_parity_gap_three_groups_max_pairwise():
     scores = {"a": np.array([1.0]), "b": np.array([0.0]), "c": np.array([1.0, 0.0])}
     assert parity_gap(scores, 0.5) == pytest.approx(1.0)
-
-
-def test_fairness_report_schema(tmp_path):
-    cfg = FairnessConfig(parity_threshold=0.5, parity_tolerance=0.1)
-    rep = fairness_report(
-        {"g0": np.array([0.9, 0.1]), "g1": np.array([0.8, 0.2])}, cfg
-    )
-    assert set(rep) == {"per_group_positive_rate", "parity_gap", "tau",
-                        "epsilon", "verdict"}
-    assert rep["verdict"] == "pass"
-    path = str(tmp_path / "fair.json")
-    write_fairness_report(rep, path)
-    import json
-
-    with open(path) as fh:
-        assert json.load(fh) == rep
-
-
-def test_fairness_config_requires_two_groups():
-    with pytest.raises(DebiasError):
-        FairnessConfig(groups=["only"])

@@ -17,13 +17,12 @@ from mmrec.explain import (
     context_vector,
     explain_recommendation,
     init_context_params,
-    init_preference_head,
     preference_distribution,
     preference_explanation_prob,
     select_and_render,
     similar_from_history,
 )
-from mmrec.numerics import make_rng, softmax
+from mmrec.numerics import init_matrix, make_rng, softmax
 
 D = 6
 
@@ -154,7 +153,8 @@ def test_end_to_end_explanation(tiny_ds):
     ds = tiny_ds
     rng = make_rng(1)
     labels = sorted({c for r in ds.items.values() for c in r.categories})
-    head = init_preference_head(rng, D, labels)
+    head = PreferenceHead(w=init_matrix(rng, (D, len(labels))),
+                          b=np.zeros(len(labels)), aspect_labels=labels)
     table = aspect_item_table(labels, {i: r.categories for i, r in ds.items.items()})
     emb = {iid: rng.standard_normal(D) + 0.01 for iid in ds.item_ids}
     ctx = init_context_params(rng, D)

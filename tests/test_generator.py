@@ -12,14 +12,11 @@ from mmrec.generator import (
     generator_backward,
     generator_forward,
     init_generator_params,
-    next_item_distribution,
     nll_dlogits,
     predictive_entropy,
     rating_loss,
     rating_prediction,
     recommend_top_n,
-    score_dlogits,
-    sequence_nll,
     special_ids,
 )
 from mmrec.numerics import finite_diff_grad, make_rng, rel_error
@@ -77,15 +74,15 @@ def test_two_item_hand_distribution():
 
 
 def test_causality_prefix_positions_ignore_future(params):
-    # per-position logits at position i must not change when later history
+    # the hidden state at position i must not change when later history
     # items change
     req_a = _request(history=[1, 2, 3])
     req_b = _request(history=[1, 2, 5])
-    fa = generator_forward(req_a, params)
-    fb = generator_forward(req_b, params)
+    xa = generator_forward(req_a, params)._cache["x_final"]
+    xb = generator_forward(req_b, params)._cache["x_final"]
     # positions before the altered last token are identical
-    assert np.allclose(fa.seq_logits[:-1], fb.seq_logits[:-1])
-    assert not np.allclose(fa.seq_logits[-1], fb.seq_logits[-1])
+    assert np.allclose(xa[:-1], xb[:-1])
+    assert not np.allclose(xa[-1], xb[-1])
 
 
 def test_history_truncated_to_position_budget(params):
@@ -103,7 +100,7 @@ def test_recommend_top_n_sorted_and_excludes(params):
     assert 2 not in [i for i, _ in ranked]
     scores = [s for _, s in ranked]
     assert scores == sorted(scores, reverse=True)
-    probs = next_item_distribution(req, params)
+    probs = generator_forward(req, params).probs
     assert ranked[0][1] == pytest.approx(probs.max())
 
 
@@ -175,32 +172,6 @@ def test_generator_backward_matches_finite_diff(params):
     assert rel_error(d_h_user, numeric) < 1e-4
 
 
-def test_score_dlogits_matches_finite_diff(params):
-    # d p(target) / d logits, with exclusions active
-    target = 4
-    req = _request(exclude={1})
-    fr = generator_forward(req, params)
-    analytic = score_dlogits(fr, target, 1.0)
-
-    def f(flat):
-        shifted = flat[fr.allowed] - flat[fr.allowed].max()
-        e = np.exp(shifted)
-        probs = np.zeros_like(flat)
-        probs[fr.allowed] = e / e.sum()
-        return float(probs[target])
-
-    numeric = finite_diff_grad(f, fr.logits.copy())
-    assert rel_error(analytic, numeric) < 1e-4
-
-
-def test_sequence_nll_consistent_with_forward(params):
-    req = _request()
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    loss, d_h_user, fr = sequence_nll(req, 1, params, grads)
-    assert loss == pytest.approx(-np.log(fr.probs[1]))
-    assert d_h_user.shape == (D,)
-
-
 def test_predictive_entropy_bounds(params):
     fr = generator_forward(_request(), params)
     assert 0.0 <= predictive_entropy(fr) <= 1.0
@@ -208,14 +179,12 @@ def test_predictive_entropy_bounds(params):
     uni = ForwardResult(
         probs=np.full(4, 0.25), logits=np.zeros(4),
         allowed=np.ones(4, dtype=bool), h_t=np.zeros(D),
-        seq_logits=np.zeros((1, 4)),
     )
     assert predictive_entropy(uni) == pytest.approx(1.0)
     # a point mass has entropy 0
     point = ForwardResult(
         probs=np.array([1.0, 0, 0, 0]), logits=np.zeros(4),
         allowed=np.ones(4, dtype=bool), h_t=np.zeros(D),
-        seq_logits=np.zeros((1, 4)),
     )
     assert predictive_entropy(point) == 0.0
 

@@ -157,6 +157,18 @@ def test_evaluate_reports_and_baselines(ds):
         assert not (set(i for i, _ in entries) & seen)
 
 
+def test_evaluate_fairness_threshold_splits_compared_scores(ds):
+    # fairness compares each user's top-10 scores with aux["tau"]; a tau
+    # that every compared score exceeds makes every group's rate 1.0
+    cfg = _config()
+    ckpt, _ = harness.train(cfg, ds)
+    model = harness.model_from_checkpoint(ckpt, cfg, ds)
+    _, aux = harness.evaluate(model, ds, cfg)
+    pooled = [s for entries in aux["scored_lists"].values() for _, s in entries[:10]]
+    share = np.mean(np.array(pooled) > aux["tau"])
+    assert 0.0 < share < 1.0
+
+
 def test_evaluate_deterministic(ds):
     cfg = _config()
     ckpt, _ = harness.train(cfg, ds)
@@ -221,6 +233,34 @@ def test_online_update_deterministic_and_logged(ds):
         assert {"eta", "uncertainty", "updated_fraction", "loss"} <= set(entry)
         assert 0.0 <= entry["uncertainty"] <= 1.0
     assert logs1[1]["rating_loss"] is not None
+
+
+def test_online_update_histories_last_for_one_call(ds):
+    cfg = _config()
+    ckpt, _ = harness.train(cfg, ds)
+    uid = sorted(ds.users)[0]
+    before = {u: list(rec.history) for u, rec in ds.users.items()}
+    first, second = ds.item_ids[3], ds.item_ids[4]
+    events = [{"user": uid, "item": first, "kind": "implicit"},
+              {"user": uid, "item": second, "kind": "implicit"}]
+
+    def updated(evs):
+        model = harness.model_from_checkpoint(copy.deepcopy(ckpt), cfg, ds)
+        logs = harness.online_update(model, ds, cfg, evs, OptimizerState(),
+                                     weights=FeedbackWeights())
+        return model, logs
+
+    after_first, _ = updated(events[:1])
+    _, logs = updated(events)
+    assert {u: rec.history for u, rec in ds.users.items()} == before
+    # the second event is scored on the history extended by the first
+    flags = cfg.feature_flags()
+    user = ds.users[uid]
+    target = ds.item_index[second]
+    extended = after_first.example_nll(user, before[uid] + [first], target, ds, flags)
+    plain = after_first.example_nll(user, before[uid], target, ds, flags)
+    assert logs[1]["nll"] == extended.loss
+    assert logs[1]["nll"] != plain.loss
 
 
 def test_online_update_rejects_malformed_event(ds):

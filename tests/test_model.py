@@ -90,34 +90,6 @@ def test_end_to_end_gradient_check(setup):
         assert err < 1e-4, f"{name}: {err}"
 
 
-def test_backprop_score_gradient_check(setup):
-    # gradient of p(target) through the whole stack, used by the
-    # adversarial fairness term
-    ds, _, model = setup
-    user, history, target = _example(ds)
-    flags = FeatureFlags()
-
-    res = model.example_nll(user, history, target, ds, flags)
-    grads = model.zero_grads()
-    model.backprop_score(res, target, 1.0, grads)
-
-    for name in ["gen.wout", "fus.w", "text.emb"]:
-        base = model.params[name]
-
-        def f(flat, name=name, base=base):
-            saved = model.params[name]
-            model.params[name] = flat.reshape(base.shape)
-            try:
-                r = model.example_nll(user, history, target, ds, flags)
-            finally:
-                model.params[name] = saved
-            return float(r.forward.probs[target])
-
-        numeric = finite_diff_grad(f, base.ravel().copy())
-        err = rel_error(grads[name].ravel(), numeric)
-        assert err < 1e-4, f"{name}: {err}"
-
-
 def test_example_rating_loss_gradient_check(setup):
     ds, _, model = setup
     user, history, target = _example(ds)

@@ -135,8 +135,7 @@ def test_multimodal_backward_matches_finite_diff(params, mix, fusion_on):
     names = [
         "text.emb", "text.pos", "text.wq", "text.wv", "text.wo",
         "cat.emb", "num.w1", "num.b2",
-        "fus.w", "fus.beta", "fus.wc", "fus.bc",
-        "xm.text.cat.q", "xm.cat.num.v", "xm.num.text.k",
+        "fus.w", "fus.beta", "fus.wc", "fus.bc", "xm.cat.num.v",
     ]
     for name in names:
         base = params[name]
@@ -159,7 +158,10 @@ def test_multimodal_backward_matches_finite_diff(params, mix, fusion_on):
 def test_mixing_equals_pairwise_attention_reference(params):
     # each modality is one pooled vector, so cross-modal attention runs
     # over a single key; the value-projection form must reproduce full
-    # pairwise attention bit for bit, and q/k must get exactly zero gradient
+    # pairwise attention bit for bit, whatever the query/key matrices are,
+    # and so the model stores none
+    assert not [k for k in params if k.startswith("xm.") and k[-2:] in (".q", ".k")]
+    qk_rng = make_rng(11)
     inputs = _inputs()
     p = dict(params)
     p["fus.beta"] = np.full(1, 0.3)
@@ -175,23 +177,15 @@ def test_mixing_equals_pairwise_attention_reference(params):
             if mi != ni:
                 out, _ = attention_forward(
                     np.atleast_2d(raw[mi]), np.atleast_2d(raw[ni]),
-                    p[f"xm.{m}.{n}.q"], p[f"xm.{m}.{n}.k"], p[f"xm.{m}.{n}.v"],
+                    qk_rng.standard_normal((D, DK)), qk_rng.standard_normal((D, DK)),
+                    p[f"xm.{m}.{n}.v"],
                 )
                 acc += out[0]
         hs.append(raw[mi] + acc / (len(MODALITIES) - 1))
     expected, _ = fuse(hs, fusion_weights(hs, p["fus.w"]), p)
 
-    fused, cache = multimodal_forward(inputs, p, mix=True)
+    fused, _ = multimodal_forward(inputs, p, mix=True)
     assert np.array_equal(fused, expected)
-
-    grads = zero_grads(p)
-    multimodal_backward(make_rng(3).standard_normal(D), cache, p, grads)
-    for m in MODALITIES:
-        for n in MODALITIES:
-            if m != n:
-                assert not grads[f"xm.{m}.{n}.q"].any()
-                assert not grads[f"xm.{m}.{n}.k"].any()
-                assert grads[f"xm.{m}.{n}.v"].any()
 
 
 def test_backward_accumulates(params):

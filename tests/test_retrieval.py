@@ -1,5 +1,5 @@
 """Retrieval oracle tests: hand-worked composite scores, a brute-force
-top-K reference, tie-breaks, the temporal kernel, and index round-trips."""
+top-K reference, tie-breaks, and the temporal kernel."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from mmrec.retrieval import (
     RetrievalError,
     build_index,
     credibility_from_counts,
-    dump_index,
-    load_index,
     relevance_score,
     retrieve_top_k,
     temporal_relevance,
@@ -141,18 +139,3 @@ def test_build_index_items_and_centroids(tiny_ds):
     members = [iid for iid in ds.item_ids if cat in ds.items[iid].categories]
     centroid = next(e for e in index if e.entry_id == f"cat:{cat}")
     assert np.allclose(centroid.embedding, np.mean([table[m] for m in members], axis=0))
-
-
-def test_index_round_trip(tmp_path):
-    rng = make_rng(8)
-    index = [_entry(f"e{j}", rng.standard_normal(3), ts=j, cred=0.1 * j)
-             for j in range(5)]
-    path = str(tmp_path / "index.jsonl")
-    dump_index(index, path)
-    back = load_index(path)
-    assert len(back) == 5
-    for a, b in zip(index, back):
-        assert a.entry_id == b.entry_id
-        assert np.allclose(a.embedding, b.embedding)
-        assert a.timestamp == b.timestamp
-        assert a.credibility == pytest.approx(b.credibility)
