@@ -5,9 +5,13 @@ Format: magic ``MMRC``, u32 format version, u64 header length, JSON header
 tensor payloads in manifest order, each length-prefixed with a u64.
 Round-trips are bit-exact.
 
-Version 2 stores no cross-modal query/key tensors (``xm.*.q``/``xm.*.k``),
-which version 1 carried although they could not reach any output. Loading
-a file of any other version raises :class:`CheckpointError`.
+Version 2 stopped storing the cross-modal query/key tensors
+(``xm.*.q``/``xm.*.k``), which version 1 carried although they could not
+reach any output. Version 3 stops storing the context-attention tensors
+(``ctx.time_emb``, ``ctx.trend_emb``, ``ctx.wk``, ``ctx.wv``): no loss
+reached them and no request carried a context, and the contextual
+explanation that read them is gone. Loading a file of any other version
+raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .adaptive import EwcState, OptimizerState
 
 MAGIC = b"MMRC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 SECTIONS = ("params", "adv", "momentum", "fisher", "anchor")
 

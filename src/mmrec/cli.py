@@ -127,27 +127,11 @@ def cmd_explain(args) -> int:
     labels = ckpt.extra.get("aspect_labels") or harness.aspect_labels(
         ds, cfg.n_aspects
     )
-    payload = harness.recommend_payload(model, ds, cfg, args.user, 1, labels)
     if args.item:
-        from . import explain as ex
-
-        if args.item not in ds.items:
-            raise HarnessError(f"unknown item {args.item!r}")
-        flags = cfg.feature_flags()
-        user = ds.users[args.user]
-        h_user, _ = model.encode_user(user, user.history, ds, flags)
-        head = ex.PreferenceHead(model.params["pref.w"], model.params["pref.b"], labels)
-        table = ex.aspect_item_table(labels, {i: r.categories for i, r in ds.items.items()})
-        text, decision = ex.explain_recommendation(
-            user, ds.items[args.item], h_user, head, table,
-            model.item_embeddings(ds, flags), model.params,
-        )
-        payload = {
-            "user_id": args.user, "item_id": args.item,
-            "explanation_text": text,
-            "explanation_type": decision.chosen_type,
-            "evidence": decision.slots,
-        }
+        payload = harness.explain_payload(model, ds, cfg, args.user, args.item,
+                                          labels)
+    else:
+        payload = harness.recommend_payload(model, ds, cfg, args.user, 1, labels)
     _emit(payload, args.out)
     return EXIT_OK
 

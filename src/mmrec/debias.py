@@ -74,22 +74,17 @@ def fit_propensity(
     return PropensityModel(weights=w, bias=b, clip_floor=clip_floor), losses
 
 
-def ips_loss(
-    losses: np.ndarray, propensities: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """(1/|D|) sum of per-sample loss / propensity.
+def ips_weights(propensities: np.ndarray) -> np.ndarray:
+    """Per-sample IPS weight 1 / (|D| * e_i), computed as (1 / e_i) / |D|.
 
-    Returns the weighted loss and the per-sample weight that multiplies
-    each sample's gradient (1 / (|D| * e_i)); reduces to the plain mean
-    when every propensity is 1.
+    The IPS loss is the sum of each sample's loss times its weight, and the
+    weight multiplies each sample's gradient; with every propensity 1 it is
+    the plain mean.
     """
-    losses = np.asarray(losses, dtype=np.float64)
     prop = np.asarray(propensities, dtype=np.float64)
-    if losses.shape != prop.shape:
-        raise DebiasError("loss/propensity length mismatch")
-    n = losses.size
-    weights = 1.0 / (n * prop)
-    return float(np.sum(losses * weights) * 1.0), weights
+    if prop.ndim != 1 or prop.size == 0:
+        raise DebiasError("propensities must be a non-empty 1-D array")
+    return (1.0 / prop) / prop.size
 
 
 # ------------------------------------------------------- adversarial head

@@ -322,25 +322,26 @@ def train(
             results = []
             batch_loss = 0.0
             entropies = []
-            for ex in batch:
+            propensities = np.ones(len(batch))
+            if prop_model is not None:
+                propensities = np.array([debias.estimate_propensity(
+                    propensity_features(ds, ds.users[ex.user_id], ex.target_id),
+                    prop_model,
+                ) for ex in batch])
+            ips = debias.ips_weights(propensities).tolist()
+            for ex, w in zip(batch, ips):
                 user = ds.users[ex.user_id]
                 ustate = model.encode_user(user, ex.history, ds, flags)
                 ctx = []
                 if index is not None:
                     retrieved = retrieve_top_k(ustate[0], index, rconf, ex.timestamp)
                     ctx = retrieved.embeddings()
-                w = 1.0
-                if prop_model is not None:
-                    e = debias.estimate_propensity(
-                        propensity_features(ds, user, ex.target_id), prop_model
-                    )
-                    w = 1.0 / e
                 target_idx = ds.item_index[ex.target_id]
                 try:
                     res = model.example_nll(
                         user, ex.history, target_idx, ds, flags,
                         context_embeddings=ctx, grads=grads,
-                        weight=w / len(batch), user_state=ustate,
+                        weight=w, user_state=ustate,
                     )
                 except GenerationError:
                     # numerically degenerate forward (underflowed target
@@ -349,7 +350,7 @@ def train(
                     diverged = True
                     break
                 results.append((res, target_idx, gindex[user.group_label]))
-                batch_loss += w * res.loss / len(batch)
+                batch_loss += w * res.loss
                 entropies.append(predictive_entropy(res.forward))
                 if ex.rating is not None and config.lambda_rating > 0.0:
                     rl = model.example_rating_loss(
@@ -583,13 +584,14 @@ def run_ablation(
     config: ExperimentConfig, ds: Dataset
 ) -> dict[str, metrics.EvalReport]:
     """Incremental feature-flag ablation rows: baseline, +fusion,
-    +retrieval, +debias, +explain, +adaptive, full."""
+    +retrieval, +debias, +adaptive, full. The ``explain`` flag has no row:
+    it only fits the preference head after training, which no ranking
+    reads, so its row would equal the one before it."""
     steps = [
         ("baseline", {}),
         ("+fusion", {"fusion": True}),
         ("+retrieval", {"retrieval": True}),
         ("+debias", {"debias": True}),
-        ("+explain", {"explain": True}),
         ("+adaptive", {"adaptive": True}),
     ]
     rows: dict[str, metrics.EvalReport] = {}
@@ -631,27 +633,13 @@ def recommend_payload(
         ctx = retrieve_top_k(ustate[0], index, rconf, t_current).embeddings()
     recs = model.recommend(user, user.history, ds, flags, n,
                            context_embeddings=ctx)
-
-    head = explain.PreferenceHead(
-        w=model.params["pref.w"], b=model.params["pref.b"],
-        aspect_labels=aspect_names,
-    )
-    aspect_items = explain.aspect_item_table(
-        aspect_names, {i: r.categories for i, r in ds.items.items()}
-    )
-    embeddings = model.item_embeddings(ds, flags)
-    out = []
-    for iid, score in recs:
-        entry = {"item_id": iid, "title": ds.items[iid].title, "score": score}
-        if flags.explain:
-            text, decision = explain.explain_recommendation(
-                user, ds.items[iid], ustate[0], head, aspect_items,
-                embeddings, model.params,
-            )
-            entry["explanation_text"] = text
-            entry["explanation_type"] = decision.chosen_type
-            entry["evidence"] = decision.slots
-        out.append(entry)
+    out = [{"item_id": iid, "title": ds.items[iid].title, "score": score}
+           for iid, score in recs]
+    if flags.explain:
+        explained = explanations(model, ds, flags, user, ustate[0],
+                                 [iid for iid, _ in recs], aspect_names)
+        for entry, evidence in zip(out, explained):
+            entry.update(evidence)
     return {
         "user_id": user_id,
         "n": n,
@@ -659,6 +647,45 @@ def recommend_payload(
         "seed": config.seed,
         "recommendations": out,
     }
+
+
+def explain_payload(
+    model: Model, ds: Dataset, config: ExperimentConfig, user_id: str,
+    item_id: str, aspect_names: list[str],
+) -> dict:
+    """The explanation of one (user, item) pair as a JSON-ready payload."""
+    if user_id not in ds.users:
+        raise HarnessError(f"unknown user {user_id!r}")
+    if item_id not in ds.items:
+        raise HarnessError(f"unknown item {item_id!r}")
+    flags = config.feature_flags()
+    user = ds.users[user_id]
+    h_user = model.encode_user(user, user.history, ds, flags)[0]
+    evidence = explanations(model, ds, flags, user, h_user, [item_id],
+                            aspect_names)[0]
+    return {"user_id": user_id, "item_id": item_id, **evidence}
+
+
+def explanations(
+    model: Model, ds: Dataset, flags: FeatureFlags, user: UserRecord,
+    h_user: np.ndarray, item_ids: list[str], aspect_names: list[str],
+) -> list[dict]:
+    """Explanation text, type and evidence of each item for one user, from
+    the preference head and the catalog's item embeddings."""
+    head = explain.PreferenceHead(
+        w=model.params["pref.w"], b=model.params["pref.b"],
+        aspect_labels=aspect_names,
+    )
+    embeddings = model.item_embeddings(ds, flags)
+    out = []
+    for iid in item_ids:
+        text, decision = explain.explain_recommendation(
+            user, ds.items[iid], h_user, head, embeddings,
+        )
+        out.append({"explanation_text": text,
+                    "explanation_type": decision.chosen_type,
+                    "evidence": decision.slots})
+    return out
 
 
 def fisher_from_dataset(

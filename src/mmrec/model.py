@@ -13,7 +13,6 @@ from . import generator as gen
 from . import multimodal as mm
 from .dataset import Dataset, ItemRecord, UserRecord
 from .debias import init_adversary
-from .explain import init_context_params
 from .numerics import init_matrix, make_rng
 
 
@@ -80,7 +79,11 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndar
     ))
     params["pref.w"] = init_matrix(rng, (cfg.d, cfg.n_aspects))
     params["pref.b"] = np.zeros(cfg.n_aspects)
-    params.update(init_context_params(rng, cfg.d))
+    # draws of the removed context-attention tensors (time-of-day, trend,
+    # key, value), discarded so that the adversary drawn next from the same
+    # generator keeps its initial value
+    for shape in ((8, cfg.d), (4, cfg.d), (cfg.d, cfg.d), (cfg.d, cfg.d)):
+        init_matrix(rng, shape)
     return params
 
 

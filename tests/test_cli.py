@@ -32,8 +32,12 @@ def workdir(tmp_path_factory):
         json.dumps({"user": uid, "item": ds.item_ids[3], "kind": "implicit",
                     "timestamp": 2_000_000}) + "\n"
     )
+    # the checkpoint that the other subcommands read, trained here so that
+    # every test also passes when run alone
+    ckpt = str(root / "model.ckpt")
+    assert main(["train", "--config", str(cfg_path), "--out", ckpt]) == EXIT_OK
     return {"root": root, "config": str(cfg_path), "user": uid,
-            "events": str(events), "ckpt": str(root / "model.ckpt"),
+            "events": str(events), "ckpt": ckpt,
             "item": ds.item_ids[3]}
 
 
@@ -46,13 +50,16 @@ def test_ingest(workdir, capsys):
     assert out["n_test"] == 12
 
 
-def test_train_writes_checkpoint(workdir, capsys):
-    rc = main(["train", "--config", workdir["config"], "--out", workdir["ckpt"]])
+def test_train_writes_checkpoint(workdir, tmp_path, capsys):
+    out_ckpt = str(tmp_path / "model.ckpt")
+    rc = main(["train", "--config", workdir["config"], "--out", out_ckpt])
     assert rc == EXIT_OK
-    assert os.path.exists(workdir["ckpt"])
     out = json.loads(capsys.readouterr().out)
     assert len(out["epoch_losses"]) == 1
     assert not out["aborted"]
+    # training is deterministic: the fixture's checkpoint is byte-identical
+    with open(out_ckpt, "rb") as fh, open(workdir["ckpt"], "rb") as ref:
+        assert fh.read() == ref.read()
 
 
 def test_evaluate(workdir, capsys, tmp_path):
@@ -136,16 +143,23 @@ def test_data_errors(workdir, capsys):
     assert main(["ingest", "--config", "/nonexistent.json"]) == EXIT_DATA
     assert main(["recommend", "--config", workdir["config"],
                  "--checkpoint", workdir["ckpt"], "--user", "ghost"]) == EXIT_DATA
+    assert main(["explain", "--config", workdir["config"],
+                 "--checkpoint", workdir["ckpt"], "--user", "ghost",
+                 "--item", workdir["item"]]) == EXIT_DATA
+    assert main(["explain", "--config", workdir["config"],
+                 "--checkpoint", workdir["ckpt"], "--user", workdir["user"],
+                 "--item", "ghost"]) == EXIT_DATA
 
 
 def test_bad_checkpoint_version_exit_code(workdir, tmp_path, capsys):
     # a checkpoint of another format version is a data error, not a traceback
-    old = tmp_path / "v1.ckpt"
-    old.write_bytes(b"MMRC" + (1).to_bytes(4, "little") + bytes(8))
-    rc = main(["recommend", "--config", workdir["config"],
-               "--checkpoint", str(old), "--user", workdir["user"]])
-    assert rc == EXIT_DATA
-    assert capsys.readouterr().err.startswith("error:")
+    for version in (1, 2):
+        old = tmp_path / f"v{version}.ckpt"
+        old.write_bytes(b"MMRC" + version.to_bytes(4, "little") + bytes(8))
+        rc = main(["recommend", "--config", workdir["config"],
+                   "--checkpoint", str(old), "--user", workdir["user"]])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_data_root_env_var(workdir, monkeypatch, tmp_path, capsys):

@@ -12,7 +12,7 @@ from mmrec.debias import (
     estimate_propensity,
     fit_propensity,
     init_adversary,
-    ips_loss,
+    ips_weights,
     parity_gap,
 )
 from mmrec.numerics import finite_diff_grad, make_rng, rel_error
@@ -28,24 +28,26 @@ def test_estimate_propensity_sigmoid_and_clip():
 
 
 def test_ips_loss_hand_worked():
-    # losses [2, 4], propensities [0.5, 1.0]:
-    # (1/2)(2/0.5 + 4/1.0) = (4 + 4)/2 = 4
-    loss, w = ips_loss(np.array([2.0, 4.0]), np.array([0.5, 1.0]))
-    assert loss == pytest.approx(4.0)
-    assert np.allclose(w, [1.0, 0.5])
+    # losses [2, 4], propensities [0.5, 1.0]: weights 1/(2*0.5) and
+    # 1/(2*1.0), so the loss is (1/2)(2/0.5 + 4/1.0) = (4 + 4)/2 = 4
+    w = ips_weights(np.array([0.5, 1.0]))
+    assert np.array_equal(w, [1.0, 0.5])
+    assert float(np.sum(np.array([2.0, 4.0]) * w)) == 4.0
 
 
 def test_ips_uniform_propensity_is_plain_mean():
     rng = make_rng(1)
     losses = rng.uniform(0, 5, size=10)
-    loss, w = ips_loss(losses, np.ones(10))
-    assert loss == pytest.approx(float(losses.mean()))
+    w = ips_weights(np.ones(10))
+    assert float(np.sum(losses * w)) == pytest.approx(float(losses.mean()))
     assert np.allclose(w, 0.1)
 
 
 def test_ips_shape_mismatch():
     with pytest.raises(DebiasError):
-        ips_loss(np.ones(3), np.ones(4))
+        ips_weights(np.ones((3, 4)))
+    with pytest.raises(DebiasError):
+        ips_weights(np.ones(0))
 
 
 def test_fit_propensity_separable_accuracy():

@@ -4,21 +4,17 @@ tie order, the argmax type invariant, and the length cap."""
 import numpy as np
 import pytest
 
+from mmrec.dataset import ItemRecord, UserRecord
 from mmrec.explain import (
-    CONTEXTUAL,
     FALLBACK,
     MAX_CHARS,
     PREFERENCE,
     SIMILARITY,
     ExplainError,
     PreferenceHead,
-    aspect_item_table,
-    context_rows,
-    context_vector,
     explain_recommendation,
-    init_context_params,
+    preference_aspect,
     preference_distribution,
-    preference_explanation_prob,
     select_and_render,
     similar_from_history,
 )
@@ -44,24 +40,21 @@ def test_preference_distribution_is_softmax():
     assert np.allclose(p, softmax(np.array([1.0, 0.0, -1.0])))
 
 
-def test_aspect_item_table_uniform_over_members():
-    table = aspect_item_table(
-        ["a", "b"],
-        {"i1": frozenset({"a"}), "i2": frozenset({"a"}), "i3": frozenset({"b"})},
-    )
-    assert table["a"] == {"i1": 0.5, "i2": 0.5}
-    assert table["b"] == {"i3": 1.0}
-
-
-def test_preference_prob_hand_worked_and_uncovered_zero():
-    head = _head(["a", "b"])
-    table = {"a": {"i1": 0.5}, "b": {"i2": 1.0}}
-    p_u = np.array([0.8, 0.2])
-    # covered by top aspect: 0.8*0.5 * 0.2*1.0 ... i1 not in b -> factor 0
-    # with top_k=1: just 0.8 * 0.5
-    assert preference_explanation_prob("i1", p_u, head, table, top_k=1) == pytest.approx(0.4)
-    # item in no top aspect -> exactly 0
-    assert preference_explanation_prob("ix", p_u, head, table, top_k=2) == 0.0
+def test_preference_aspect_hand_worked_and_uncovered_none():
+    head = _head(["a", "b", "c"])
+    p_u = np.array([0.5, 0.3, 0.2])
+    # one category in the user's top aspect covers the item
+    assert preference_aspect(p_u, head, frozenset({"a"})) == "a"
+    # the second aspect covers it too; the first covering aspect is named
+    assert preference_aspect(p_u, head, frozenset({"b", "x"})) == "b"
+    assert preference_aspect(p_u, head, frozenset({"a", "b"})) == "a"
+    # top_k=1 looks at the top aspect only
+    assert preference_aspect(p_u, head, frozenset({"b"}), top_k=1) is None
+    # an item outside every top aspect is not covered
+    assert preference_aspect(p_u, head, frozenset({"c"})) is None
+    assert preference_aspect(p_u, head, frozenset()) is None
+    # tied mass is ordered by aspect index
+    assert preference_aspect(np.full(3, 1 / 3), head, frozenset({"b", "c"})) == "b"
 
 
 def test_similar_from_history_tie_by_ascending_id():
@@ -75,77 +68,51 @@ def test_similar_from_history_tie_by_ascending_id():
         similar_from_history("t", [], emb, k=1)
 
 
-def test_context_vector_convex_combination():
-    params = init_context_params(make_rng(0), D)
-    rows, labels = context_rows(7200, 1, params)
-    assert rows.shape == (3, D)
-    assert labels[1] == "location"
-    c_t, w = context_vector(np.ones(D), rows, params)
-    assert w.sum() == pytest.approx(1.0)
-    assert np.all(w >= 0)
-    assert np.allclose(c_t, w @ (rows @ params["ctx.wv"]))
-
-
-def test_context_rows_time_bucket():
-    params = init_context_params(make_rng(0), D)
-    # 7200s = hour 2 -> 3-hour bucket 0; 4*3600=hour 4 -> bucket 1
-    _, labels0 = context_rows(7200, 0, params)
-    _, labels1 = context_rows(4 * 3600, 0, params)
-    assert "bucket 0" in labels0[0]
-    assert "bucket 1" in labels1[0]
-
-
 def test_golden_renders_byte_identical():
-    text, d = select_and_render("Title X", 0.9, 0.1, 0.1,
-                                {"aspect": "comedy", "neighbor": "n", "descriptor": "x"})
+    text, d = select_and_render("Title X", 0.9, 0.1,
+                                {"aspect": "comedy", "neighbor": "n"})
     assert text == ("Recommended because you often choose comedy titles, "
                     "and 'Title X' matches that interest.")
     assert d.chosen_type == PREFERENCE
 
-    text, d = select_and_render("Title X", 0.1, 0.9, 0.1,
-                                {"neighbor": "Old Favourite", "descriptor": "x"})
+    text, d = select_and_render("Title X", 0.1, 0.9, {"neighbor": "Old Favourite"})
     assert text == "Recommended because 'Title X' is close to 'Old Favourite' from your history."
     assert d.chosen_type == SIMILARITY
 
-    text, d = select_and_render("Title X", 0.0, 0.0, 0.7,
-                                {"descriptor": "time-of-day bucket 3"})
-    assert text == "Recommended because 'Title X' fits the current context: time-of-day bucket 3."
-    assert d.chosen_type == CONTEXTUAL
-
 
 def test_fallback_when_no_evidence():
-    text, d = select_and_render("Title X", 0.0, 0.0, 0.0, {})
+    text, d = select_and_render("Title X", 0.0, 0.0, {})
     assert d.chosen_type == FALLBACK
     assert text == "Recommended based on your overall activity: 'Title X'."
 
 
-def test_tie_order_preference_over_similarity_over_context():
-    slots = {"aspect": "a", "neighbor": "n", "descriptor": "d"}
-    _, d = select_and_render("T", 0.5, 0.5, 0.5, slots)
+def test_tie_order_preference_over_similarity():
+    slots = {"aspect": "a", "neighbor": "n"}
+    _, d = select_and_render("T", 0.5, 0.5, slots)
     assert d.chosen_type == PREFERENCE
-    _, d = select_and_render("T", 0.0, 0.5, 0.5, slots)
+    _, d = select_and_render("T", 0.0, 0.5, slots)
     assert d.chosen_type == SIMILARITY
 
 
 def test_missing_slot_disables_type():
     # highest weight lacks its slot -> next best type is used
-    _, d = select_and_render("T", 0.9, 0.5, 0.1, {"neighbor": "n", "descriptor": "d"})
+    _, d = select_and_render("T", 0.9, 0.5, {"neighbor": "n"})
     assert d.chosen_type == SIMILARITY
 
 
 def test_render_capped_at_400_chars():
-    text, _ = select_and_render("X" * 1000, 0.9, 0.0, 0.0, {"aspect": "a"})
+    text, _ = select_and_render("X" * 1000, 0.9, 0.0, {"aspect": "a"})
     assert len(text) <= MAX_CHARS
 
 
 def test_chosen_type_is_argmax_of_weights():
     # property: with all slots present, chosen type always attains the max
     rng = make_rng(5)
-    slots = {"aspect": "a", "neighbor": "n", "descriptor": "d"}
+    slots = {"aspect": "a", "neighbor": "n"}
     for _ in range(50):
-        a, s, c = rng.uniform(0.01, 1.0, size=3)
-        _, d = select_and_render("T", a, s, c, slots)
-        weights = {PREFERENCE: a, SIMILARITY: s, CONTEXTUAL: c}
+        a, s = rng.uniform(0.01, 1.0, size=2)
+        _, d = select_and_render("T", a, s, slots)
+        weights = {PREFERENCE: a, SIMILARITY: s}
         assert weights[d.chosen_type] == max(weights.values())
 
 
@@ -155,17 +122,32 @@ def test_end_to_end_explanation(tiny_ds):
     labels = sorted({c for r in ds.items.values() for c in r.categories})
     head = PreferenceHead(w=init_matrix(rng, (D, len(labels))),
                           b=np.zeros(len(labels)), aspect_labels=labels)
-    table = aspect_item_table(labels, {i: r.categories for i, r in ds.items.items()})
     emb = {iid: rng.standard_normal(D) + 0.01 for iid in ds.item_ids}
-    ctx = init_context_params(rng, D)
 
     uid = next(u for u in sorted(ds.users) if ds.users[u].history)
     user = ds.users[uid]
     target = user.history[-1]
     text, decision = explain_recommendation(
-        user, ds.items[target], rng.standard_normal(D), head, table, emb, ctx,
-        timestamp=1_000_000,
+        user, ds.items[target], rng.standard_normal(D), head, emb,
     )
-    assert decision.chosen_type in (PREFERENCE, SIMILARITY, CONTEXTUAL, FALLBACK)
+    assert decision.chosen_type in (PREFERENCE, SIMILARITY, FALLBACK)
     assert 0 < len(text) <= MAX_CHARS
     assert (ds.items[target].title or target) in text
+
+
+def test_single_category_item_in_top_aspect_gets_preference():
+    # the user prefers "drama"; the item has that one category, and its
+    # only history neighbour points the opposite way (cosine -1), so the
+    # similarity type has no usable evidence
+    head = PreferenceHead(w=np.zeros((D, 3)), b=np.array([2.0, 0.0, 0.0]),
+                          aspect_labels=["drama", "comedy", "horror"])
+    item = ItemRecord(item_id="i1", title="Target", description_tokens=[],
+                      categories=frozenset({"drama"}), numeric_features=np.zeros(1))
+    user = UserRecord(user_id="u1", history=["i0"])
+    emb = {"i1": np.ones(D), "i0": -np.ones(D)}
+    text, decision = explain_recommendation(user, item, np.zeros(D), head, emb)
+    assert decision.chosen_type == PREFERENCE
+    assert decision.slots["aspect"] == "drama"
+    assert decision.alpha_pref == pytest.approx(float(np.max(softmax(head.b))))
+    assert text == ("Recommended because you often choose drama titles, "
+                    "and 'Target' matches that interest.")

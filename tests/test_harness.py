@@ -286,6 +286,6 @@ def test_run_ablation_rows(ds):
     cfg = _config()
     rows = harness.run_ablation(cfg, ds)
     assert list(rows) == ["baseline", "+fusion", "+retrieval", "+debias",
-                          "+explain", "+adaptive", "full"]
+                          "+adaptive", "full"]
     for rep in rows.values():
         assert "hr@10" in rep.metrics

@@ -20,7 +20,6 @@ ALLOWED = {
     "model.flatten": "parameter vector of the composed-objective gradient check",
     "model.unflatten": "inverse of flatten for the same check",
     "synth.two_tasks": "sequential-task fixture of the EWC forgetting test",
-    "debias.ips_loss": "IPS estimator checked by test_ips_unbiasedness",
 }
 
 
