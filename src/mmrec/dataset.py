@@ -60,7 +60,7 @@ class ItemRecord:
 @dataclass
 class UserRecord:
     user_id: str
-    history: list[str] = field(default_factory=list)  # time-ordered item ids
+    history: list[str] = field(default_factory=list)  # train item ids, split order
     group_label: str = "g0"
     profile_features: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
@@ -70,6 +70,8 @@ class TemporalSplit:
     train: list[int]
     validation: list[int]
     test: list[int]
+    user_train: dict[str, list[int]]  # each user's train indices, in order
+    user_test: dict[str, int]         # each user's held-out index
     dropped_users: int = 0
 
 
@@ -188,7 +190,8 @@ def build_temporal_split(
     interactions: list[Interaction], train_fraction: float
 ) -> TemporalSplit:
     """Per-user temporal split: earliest ceil(f*n) train, last one test,
-    remainder validation. Users with fewer than 3 interactions are dropped.
+    remainder validation. A user's interactions are ordered by timestamp,
+    ties in input order. Users with fewer than 3 interactions are dropped.
     """
     if not (0.0 < train_fraction < 1.0):
         raise DataError(f"train_fraction {train_fraction} outside (0,1)")
@@ -198,6 +201,8 @@ def build_temporal_split(
     train: list[int] = []
     val: list[int] = []
     test: list[int] = []
+    user_train: dict[str, list[int]] = {}
+    user_test: dict[str, int] = {}
     dropped = 0
     for user in sorted(by_user):
         idxs = sorted(by_user[user], key=lambda i: (interactions[i].timestamp, i))
@@ -206,12 +211,16 @@ def build_temporal_split(
             dropped += 1
             continue
         n_train = min(math.ceil(train_fraction * n), n - 1)
+        user_train[user] = idxs[:n_train]
+        user_test[user] = idxs[-1]
         train.extend(idxs[:n_train])
         test.append(idxs[-1])
         val.extend(idxs[n_train:-1])
     if dropped:
         log.info("dropped %d users with < 3 interactions", dropped)
-    return TemporalSplit(train=train, validation=val, test=test, dropped_users=dropped)
+    return TemporalSplit(train=train, validation=val, test=test,
+                         user_train=user_train, user_test=user_test,
+                         dropped_users=dropped)
 
 
 def popularity_table(
@@ -240,6 +249,8 @@ class Dataset:
     item_ids: list[str]          # stable catalog order
     item_index: dict[str, int]   # item_id -> catalog position
     category_vocab: dict[str, int]
+    last_train_timestamp: int            # latest train timestamp (0 if none)
+    item_last_timestamps: dict[str, int]  # item_id -> its latest train timestamp
 
     @property
     def n_items(self) -> int:
@@ -249,19 +260,12 @@ class Dataset:
         return [self.interactions[i] for i in self.split.train]
 
     def user_train_history(self, user_id: str) -> list[Interaction]:
-        out = [
-            self.interactions[i]
-            for i in self.split.train
-            if self.interactions[i].user_id == user_id
-        ]
-        out.sort(key=lambda it: it.timestamp)
-        return out
+        """The user's train interactions in split order."""
+        return [self.interactions[i] for i in self.split.user_train.get(user_id, [])]
 
     def test_target(self, user_id: str) -> Interaction | None:
-        for i in self.split.test:
-            if self.interactions[i].user_id == user_id:
-                return self.interactions[i]
-        return None
+        i = self.split.user_test.get(user_id)
+        return None if i is None else self.interactions[i]
 
 
 def build_dataset(
@@ -277,23 +281,21 @@ def build_dataset(
     if len(known) != len(interactions):
         log.info("dropped %d interactions with unknown items", len(interactions) - len(known))
     split = build_temporal_split(known, train_fraction)
-    counts, freqs = popularity_table([known[i] for i in split.train])
+    train = [known[i] for i in split.train]
+    counts, freqs = popularity_table(train)
     for item in items.values():
         item.popularity_count = counts.get(item.item_id, 0)
+    item_last: dict[str, int] = {}
+    for it in train:
+        item_last[it.item_id] = max(item_last.get(it.item_id, 0), it.timestamp)
 
     for it in known:
         if it.user_id not in users:
             users[it.user_id] = UserRecord(
                 user_id=it.user_id, group_label=assign_group(it.user_id, n_groups)
             )
-    for uid in sorted(users):
-        hist = [
-            (known[i].timestamp, known[i].item_id)
-            for i in split.train
-            if known[i].user_id == uid
-        ]
-        hist.sort()
-        users[uid].history = [item for _, item in hist]
+    for uid, user in users.items():
+        user.history = [known[i].item_id for i in split.user_train.get(uid, [])]
 
     item_ids = sorted(items)
     cat_vocab = {
@@ -311,6 +313,8 @@ def build_dataset(
         item_ids=item_ids,
         item_index={iid: i for i, iid in enumerate(item_ids)},
         category_vocab=cat_vocab,
+        last_train_timestamp=max((it.timestamp for it in train), default=0),
+        item_last_timestamps=item_last,
     )
 
 

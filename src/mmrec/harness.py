@@ -240,21 +240,19 @@ def fit_preference_head(
     model.params["pref.b"] = b
 
 
-def _item_last_timestamps(ds: Dataset) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for it in ds.train_interactions():
-        out[it.item_id] = max(out.get(it.item_id, 0), it.timestamp)
-    return out
-
-
 def build_retrieval_index(model: Model, ds: Dataset, flags: FeatureFlags):
-    ts = _item_last_timestamps(ds)
-    return build_index(
-        ds.items,
-        lambda rec: model.encode_item(rec, ds, flags)[0],
-        ts,
-        ds.popularity,
-    )
+    return build_index(ds.items, model.item_embeddings(ds, flags),
+                       ds.item_last_timestamps, ds.popularity)
+
+
+def _context(index, rconf: RetrievalConfig, h_user: np.ndarray,
+             t_now: int) -> list[np.ndarray]:
+    """Embeddings of the top-k index entries for one user encoding; none
+    when k is 0, which is how the retrieval flag turns retrieval off (the
+    callers then build no index)."""
+    if rconf.k == 0:
+        return []
+    return retrieve_top_k(h_user, index, rconf, t_now).embeddings()
 
 
 @dataclass
@@ -307,9 +305,7 @@ def train(
     last_good_adv = {k: v.copy() for k, v in model.adv.items()}
 
     for _epoch in range(config.epochs):
-        index = build_retrieval_index(model, ds, flags) if (
-            flags.retrieval and rconf.k > 0
-        ) else None
+        index = build_retrieval_index(model, ds, flags) if rconf.k > 0 else None
         order = rng.permutation(len(examples))
         epoch_loss = 0.0
         epoch_adv = 0.0
@@ -332,10 +328,7 @@ def train(
             for ex, w in zip(batch, ips):
                 user = ds.users[ex.user_id]
                 ustate = model.encode_user(user, ex.history, ds, flags)
-                ctx = []
-                if index is not None:
-                    retrieved = retrieve_top_k(ustate[0], index, rconf, ex.timestamp)
-                    ctx = retrieved.embeddings()
+                ctx = _context(index, rconf, ustate[0], ex.timestamp)
                 target_idx = ds.item_index[ex.target_id]
                 try:
                     res = model.example_nll(
@@ -354,7 +347,7 @@ def train(
                 entropies.append(predictive_entropy(res.forward))
                 if ex.rating is not None and config.lambda_rating > 0.0:
                     rl = model.example_rating_loss(
-                        user, ex.history, target_idx, ex.rating, ds, flags,
+                        ustate, ex.history, ex.rating, ds,
                         grads=grads, weight=config.lambda_rating / len(batch),
                     )
                     batch_loss += config.lambda_rating * rl / len(batch)
@@ -481,16 +474,14 @@ def model_from_checkpoint(ckpt: Checkpoint, config: ExperimentConfig,
 
 
 def _user_lists(
-    model: Model, ds: Dataset, config: ExperimentConfig, flags: FeatureFlags,
-    list_len: int = 100,
+    model: Model, ds: Dataset, config: ExperimentConfig,
+    embeddings: dict[str, np.ndarray],
 ) -> dict[str, list[tuple[str, float]]]:
+    """Each test user's top-100 list with scores."""
+    flags = config.feature_flags()
     rconf = config.retrieval_config()
-    index = None
-    t_current = max(
-        (ds.interactions[i].timestamp for i in ds.split.train), default=0
-    )
-    if flags.retrieval and rconf.k > 0:
-        index = build_retrieval_index(model, ds, flags)
+    index = build_index(ds.items, embeddings, ds.item_last_timestamps,
+                        ds.popularity) if rconf.k > 0 else None
     lists = {}
     for uid in sorted(ds.users):
         target = ds.test_target(uid)
@@ -499,16 +490,14 @@ def _user_lists(
         user = ds.users[uid]
         hist = user.history
         ustate = model.encode_user(user, hist, ds, flags)
-        ctx = []
-        if index is not None:
-            ctx = retrieve_top_k(ustate[0], index, rconf, t_current).embeddings()
+        ctx = _context(index, rconf, ustate[0], ds.last_train_timestamp)
         exclude = {
             ds.item_index[i] for i in hist if i != target.item_id
         }
         req = GenerationRequest(
             h_user=ustate[0], context_embeddings=ctx,
             history=[ds.item_index[i] for i in hist],
-            exclude=exclude, n=list_len,
+            exclude=exclude, n=100,
         )
         ranked = recommend_top_n(req, model.params)
         lists[uid] = [(ds.item_ids[i], s) for i, s in ranked]
@@ -517,11 +506,9 @@ def _user_lists(
 
 def evaluate(
     model: Model, ds: Dataset, config: ExperimentConfig,
-    flags: FeatureFlags | None = None,
 ) -> tuple[dict[str, metrics.EvalReport], dict]:
     """Full-catalog leave-last-out evaluation with random and popularity
     baselines in the same report."""
-    flags = flags or config.feature_flags()
     if not ds.split.test:
         raise HarnessError("empty test split")
     truth = {}
@@ -529,11 +516,11 @@ def evaluate(
         it = ds.interactions[i]
         truth[it.user_id] = it.item_id
 
-    scored = _user_lists(model, ds, config, flags)
+    embeddings = model.item_embeddings(ds, config.feature_flags())
+    scored = _user_lists(model, ds, config, embeddings)
     lists = {u: [i for i, _ in entries] for u, entries in scored.items()}
     users = sorted(scored)
     groups = {u: ds.users[u].group_label for u in users}
-    embeddings = model.item_embeddings(ds, flags)
 
     rng = make_rng(config.seed + 777)
     rand_lists = metrics.random_baseline_lists(users, ds.item_ids, 100, rng)
@@ -623,20 +610,18 @@ def recommend_payload(
         raise HarnessError(f"unknown user {user_id!r}")
     user = ds.users[user_id]
     rconf = config.retrieval_config()
-    ctx = []
-    ustate = model.encode_user(user, user.history, ds, flags)
-    if flags.retrieval and rconf.k > 0:
-        index = build_retrieval_index(model, ds, flags)
-        t_current = max(
-            (ds.interactions[i].timestamp for i in ds.split.train), default=0
-        )
-        ctx = retrieve_top_k(ustate[0], index, rconf, t_current).embeddings()
-    recs = model.recommend(user, user.history, ds, flags, n,
-                           context_embeddings=ctx)
+    embeddings = model.item_embeddings(ds, flags) if (
+        flags.explain or rconf.k > 0
+    ) else {}
+    index = build_index(ds.items, embeddings, ds.item_last_timestamps,
+                        ds.popularity) if rconf.k > 0 else None
+    h_user = model.encode_user(user, user.history, ds, flags)[0]
+    ctx = _context(index, rconf, h_user, ds.last_train_timestamp)
+    recs = model.recommend(h_user, user.history, ds, n, context_embeddings=ctx)
     out = [{"item_id": iid, "title": ds.items[iid].title, "score": score}
            for iid, score in recs]
     if flags.explain:
-        explained = explanations(model, ds, flags, user, ustate[0],
+        explained = explanations(model, ds, user, h_user, embeddings,
                                  [iid for iid, _ in recs], aspect_names)
         for entry, evidence in zip(out, explained):
             entry.update(evidence)
@@ -661,22 +646,23 @@ def explain_payload(
     flags = config.feature_flags()
     user = ds.users[user_id]
     h_user = model.encode_user(user, user.history, ds, flags)[0]
-    evidence = explanations(model, ds, flags, user, h_user, [item_id],
+    evidence = explanations(model, ds, user, h_user,
+                            model.item_embeddings(ds, flags), [item_id],
                             aspect_names)[0]
     return {"user_id": user_id, "item_id": item_id, **evidence}
 
 
 def explanations(
-    model: Model, ds: Dataset, flags: FeatureFlags, user: UserRecord,
-    h_user: np.ndarray, item_ids: list[str], aspect_names: list[str],
+    model: Model, ds: Dataset, user: UserRecord, h_user: np.ndarray,
+    embeddings: dict[str, np.ndarray], item_ids: list[str],
+    aspect_names: list[str],
 ) -> list[dict]:
     """Explanation text, type and evidence of each item for one user, from
-    the preference head and the catalog's item embeddings."""
+    the preference head and the catalog's item ``embeddings``."""
     head = explain.PreferenceHead(
         w=model.params["pref.w"], b=model.params["pref.b"],
         aspect_labels=aspect_names,
     )
-    embeddings = model.item_embeddings(ds, flags)
     out = []
     for iid in item_ids:
         text, decision = explain.explain_recommendation(
@@ -737,22 +723,21 @@ def online_update(
         hist = histories.setdefault(uid, list(user.history))
         target_idx = ds.item_index[iid]
 
-        probe = model.example_nll(user, hist, target_idx, ds, flags)
-        uncertainty = predictive_entropy(probe.forward)
+        g_nll = model.zero_grads()
+        nll = model.example_nll(user, hist, target_idx, ds, flags, grads=g_nll)
+        uncertainty = predictive_entropy(nll.forward)
         eta = adaptive_rate(opt.eta0, opt.lambda_u, uncertainty) if flags.adaptive \
             else opt.eta0
-        agreement = 1.0 if probe.forward.probs[target_idx] > 1.0 / ds.n_items else 0.0
+        agreement = 1.0 if nll.forward.probs[target_idx] > 1.0 / ds.n_items else 0.0
         weights.update("explicit" if kind == EXPLICIT else "implicit", agreement)
 
         explicit_entries = []
-        implicit_entries = []
-        g_nll = model.zero_grads()
-        nll = model.example_nll(user, hist, target_idx, ds, flags, grads=g_nll)
-        implicit_entries.append((nll.loss, g_nll))
+        implicit_entries = [(nll.loss, g_nll)]
         if kind == EXPLICIT and ev.get("value") is not None:
             g_rate = model.zero_grads()
             rl = model.example_rating_loss(
-                user, hist, target_idx, float(ev["value"]), ds, flags, grads=g_rate,
+                (nll.h_user, nll.mm_cache), hist, float(ev["value"]), ds,
+                grads=g_rate,
             )
             explicit_entries.append((rl, g_rate))
         alpha, _beta = reliability_weights(weights)

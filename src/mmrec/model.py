@@ -211,17 +211,19 @@ class Model:
 
     def example_rating_loss(
         self,
-        user: UserRecord,
+        user_state: tuple,
         history_ids: list[str],
-        target_idx: int,
         rating: float,
         ds: Dataset,
-        flags: FeatureFlags,
         grads: dict | None = None,
         weight: float = 1.0,
     ) -> float:
-        """Squared-error rating loss at the target position (explicit head)."""
-        h_user, mcache = self.encode_user(user, history_ids, ds, flags)
+        """Squared-error rating loss at the target position (explicit head).
+
+        ``user_state`` is the (h_user, cache) pair of ``encode_user`` for
+        this history; the generator runs without retrieved context.
+        """
+        h_user, mcache = user_state
         request = gen.GenerationRequest(
             h_user=h_user,
             history=[ds.item_index[i] for i in history_ids],
@@ -257,15 +259,14 @@ class Model:
 
     def recommend(
         self,
-        user: UserRecord,
+        h_user: np.ndarray,
         history_ids: list[str],
         ds: Dataset,
-        flags: FeatureFlags,
         n: int,
         context_embeddings: list[np.ndarray] | None = None,
     ) -> list[tuple[str, float]]:
-        """Top-``n`` catalog items, never one from ``history_ids``."""
-        h_user, _ = self.encode_user(user, history_ids, ds, flags)
+        """Top-``n`` catalog items for the user encoding ``h_user``, never
+        one from ``history_ids``."""
         exclude = {ds.item_index[i] for i in history_ids if i in ds.item_index}
         request = gen.GenerationRequest(
             h_user=h_user,

@@ -73,14 +73,15 @@ def credibility_from_counts(count: int, max_count: int) -> float:
 
 def build_index(
     items: dict,
-    embed_item,
+    item_embeddings: dict[str, np.ndarray],
     item_timestamps: dict[str, int],
     popularity: dict[str, int],
 ) -> list[ContextEntry]:
     """One entry per item description plus one per category centroid.
 
-    ``embed_item`` maps an ItemRecord to its current embedding. Items with
-    empty description and no categories are skipped with a log line.
+    ``item_embeddings`` maps each item id to its current embedding. Items
+    with empty description and no categories, or a zero embedding, are
+    skipped with a log line.
     """
     max_count = max(popularity.values(), default=0)
     entries: list[ContextEntry] = []
@@ -91,7 +92,7 @@ def build_index(
         if not rec.description_tokens and not rec.categories:
             skipped += 1
             continue
-        emb = np.asarray(embed_item(rec), dtype=np.float64)
+        emb = np.asarray(item_embeddings[iid], dtype=np.float64)
         if np.linalg.norm(emb) == 0.0:
             skipped += 1
             continue

@@ -13,6 +13,7 @@ from mmrec.dataset import (
     IMPLICIT,
     DataError,
     Interaction,
+    ItemRecord,
     assign_group,
     build_dataset,
     build_temporal_split,
@@ -166,6 +167,21 @@ def test_build_dataset_histories_and_catalog(tiny_ds):
         assert ts == sorted(ts)
     # popularity counts come from the train split only
     assert sum(ds.popularity.values()) == len(ds.split.train)
+
+
+def test_histories_follow_split_order_on_tied_timestamps():
+    # b and a share timestamp 5; the split orders ties by input line, and
+    # the user's history and the training examples must follow it
+    rows = [("b", 5), ("a", 5), ("c", 6), ("d", 7), ("e", 8), ("f", 9)]
+    inter = [_inter("u", iid, ts) for iid, ts in rows]
+    items = {iid: ItemRecord(iid, iid, [1], frozenset({"x"}), np.zeros(1))
+             for iid, _ in rows}
+    ds = build_dataset(inter, items, {}, {}, train_fraction=0.6)
+    assert ds.users["u"].history == ["b", "a", "c", "d"]
+    assert [it.item_id for it in ds.user_train_history("u")] == ["b", "a", "c", "d"]
+    assert ds.test_target("u").item_id == "f"
+    assert ds.last_train_timestamp == 7
+    assert ds.item_last_timestamps == {"b": 5, "a": 5, "c": 6, "d": 7}
 
 
 def test_round_trip_through_files(tmp_path, tiny_ds):

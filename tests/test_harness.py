@@ -11,6 +11,7 @@ from mmrec import checkpoint as ckpt_io
 from mmrec import harness
 from mmrec.adaptive import EwcState, FeedbackWeights, OptimizerState
 from mmrec.harness import ExperimentConfig, HarnessError
+from mmrec.model import Model
 from mmrec.numerics import make_rng
 from mmrec.synth import planted_categories
 
@@ -71,7 +72,7 @@ def test_train_deterministic(ds):
 
 def test_zero_epoch_run_keeps_initial_params(ds):
     cfg = _config(epochs=0, flags={**_config().flags, "explain": False})
-    from mmrec.model import Model, config_from_dataset
+    from mmrec.model import config_from_dataset
 
     labels = harness.aspect_labels(ds, cfg.n_aspects)
     mc = config_from_dataset(ds, d=cfg.d, d_k=cfg.d_k, n_blocks=cfg.n_blocks,
@@ -203,6 +204,32 @@ def test_recommend_payload_schema(ds):
     with pytest.raises(HarnessError, match="unknown user"):
         harness.recommend_payload(model, ds, cfg, "ghost", 3,
                                   ckpt.extra["aspect_labels"])
+
+
+def test_each_call_encodes_catalog_and_user_once(ds, monkeypatch):
+    # recommend_payload shares one catalog encode between retrieval and the
+    # explanations, and one user encode between retrieval and ranking;
+    # evaluate shares one catalog encode between retrieval and ILD
+    cfg = _config()
+    ckpt, _ = harness.train(cfg, ds)
+    model = harness.model_from_checkpoint(ckpt, cfg, ds)
+    counts = {"encode_item": 0, "encode_user": 0}
+    for name in counts:
+        original = getattr(Model, name)
+
+        def counted(self, *args, name=name, original=original):
+            counts[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Model, name, counted)
+
+    uid = sorted(ds.users)[0]
+    harness.recommend_payload(model, ds, cfg, uid, 5, ckpt.extra["aspect_labels"])
+    assert counts == {"encode_item": ds.n_items, "encode_user": 1}
+    counts.update(encode_item=0, encode_user=0)
+    _, aux = harness.evaluate(model, ds, cfg)
+    assert counts == {"encode_item": ds.n_items,
+                      "encode_user": len(aux["scored_lists"])}
 
 
 def test_online_update_deterministic_and_logged(ds):

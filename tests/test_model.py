@@ -92,11 +92,11 @@ def test_end_to_end_gradient_check(setup):
 
 def test_example_rating_loss_gradient_check(setup):
     ds, _, model = setup
-    user, history, target = _example(ds)
+    user, history, _ = _example(ds)
     flags = FeatureFlags()
     grads = model.zero_grads()
-    loss = model.example_rating_loss(user, history, target, 4.5, ds, flags,
-                                     grads=grads)
+    loss = model.example_rating_loss(model.encode_user(user, history, ds, flags),
+                                     history, 4.5, ds, grads=grads)
     assert loss >= 0.0
 
     for name in ["gen.wrate", "gen.brate", "unum.w2"]:
@@ -107,7 +107,7 @@ def test_example_rating_loss_gradient_check(setup):
             model.params[name] = flat.reshape(base.shape)
             try:
                 return model.example_rating_loss(
-                    user, history, target, 4.5, ds, flags
+                    model.encode_user(user, history, ds, flags), history, 4.5, ds
                 )
             finally:
                 model.params[name] = saved
@@ -121,7 +121,8 @@ def test_recommend_excludes_history(setup):
     ds, _, model = setup
     user, history, _ = _example(ds)
     flags = FeatureFlags()
-    recs = model.recommend(user, history, ds, flags, n=10)
+    h_user = model.encode_user(user, history, ds, flags)[0]
+    recs = model.recommend(h_user, history, ds, n=10)
     assert not (set(i for i, _ in recs) & set(history))
     scores = [s for _, s in recs]
     assert scores == sorted(scores, reverse=True)

@@ -129,7 +129,7 @@ def test_build_index_items_and_centroids(tiny_ds):
     rng = make_rng(0)
     table = {iid: rng.standard_normal(d) + 0.1 for iid in ds.item_ids}
     ts = {iid: 100 for iid in ds.item_ids}
-    index = build_index(ds.items, lambda rec: table[rec.item_id], ts, ds.popularity)
+    index = build_index(ds.items, table, ts, ds.popularity)
     ids = [e.entry_id for e in index]
     n_cats = len({c for rec in ds.items.values() for c in rec.categories})
     assert sum(1 for i in ids if i.startswith("item:")) == ds.n_items
