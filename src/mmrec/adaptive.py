@@ -1,6 +1,6 @@
-"""Online adaptive learning: momentum SGD, uncertainty-scaled learning
-rate, importance-sampled selective updates, explicit/implicit feedback
-weighting, and elastic weight consolidation.
+"""Online adaptive learning: one momentum step with importance-sampled
+selective updates, an uncertainty-scaled learning rate, explicit/implicit
+feedback weighting, and elastic weight consolidation.
 """
 
 from __future__ import annotations
@@ -62,31 +62,6 @@ class FeedbackWeights:
             self.rel_implicit = self.ema_decay * self.rel_implicit + (1 - self.ema_decay) * agreement
 
 
-def momentum_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: OptimizerState,
-    eta: float | None = None,
-) -> bool:
-    """v <- gamma*v + eta*g ; theta <- theta - v.
-
-    A non-finite gradient rejects the whole step (params and state
-    unchanged) and returns False.
-    """
-    eta = state.eta0 if eta is None else eta
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            log.warning("non-finite gradient for %s: step rejected", name)
-            return False
-    for name, g in grads.items():
-        v = state.buffer(name, g)
-        v *= state.gamma_m
-        v += eta * g
-        params[name] -= v
-    state.step_count += 1
-    return True
-
-
 def adaptive_rate(eta0: float, lambda_u: float, uncertainty: float) -> float:
     """eta0 * exp(-lambda * uncertainty); uncertainty is the generator's
     normalized predictive entropy at the fed-back event, in [0,1]."""
@@ -110,10 +85,11 @@ def selective_step(
     state: OptimizerState,
     eta: float | None = None,
 ) -> float:
-    """Momentum step restricted to coordinates whose update probability
-    exceeds tau_sel; others are frozen this step. Returns the fraction of
-    coordinates updated. tau_sel = 0 updates everything (identical to
-    momentum_step)."""
+    """Momentum step (v <- gamma*v + eta*g; theta <- theta - v) on the
+    coordinates whose update probability exceeds tau_sel; the others keep
+    their value and momentum. tau_sel = 0 updates every coordinate. Returns
+    the fraction updated; a non-finite gradient rejects the whole step
+    (params and state unchanged) and returns 0.0."""
     if not (0.0 <= state.tau_sel < 1.0):
         raise AdaptiveError("tau_sel must be in [0,1)")
     eta = state.eta0 if eta is None else eta
@@ -121,6 +97,14 @@ def selective_step(
         if not np.all(np.isfinite(g)):
             log.warning("non-finite gradient for %s: step rejected", name)
             return 0.0
+    state.step_count += 1
+    if state.tau_sel == 0.0:
+        for name, g in grads.items():
+            v = state.buffer(name, g)
+            v *= state.gamma_m
+            v += eta * g
+            params[name] -= v
+        return 1.0
     total = 0
     updated = 0
     for name, g in grads.items():
@@ -128,10 +112,8 @@ def selective_step(
         total += g.size
         updated += int(mask.sum())
         v = state.buffer(name, g)
-        # frozen coordinates keep both their momentum and their value
         v[mask] = state.gamma_m * v[mask] + eta * g[mask]
         params[name][mask] -= v[mask]
-    state.step_count += 1
     return updated / max(1, total)
 
 
@@ -194,44 +176,27 @@ def estimate_fisher(
 
 
 def combined_feedback_loss(
-    explicit_losses: list[tuple[float, dict[str, np.ndarray]]],
-    implicit_losses: list[tuple[float, dict[str, np.ndarray]]],
+    implicit: tuple[float, dict[str, np.ndarray]],
+    explicit: tuple[float, dict[str, np.ndarray]] | None,
     params: dict[str, np.ndarray],
     weights: FeedbackWeights,
-    alpha: float | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """alpha * mean explicit (squared-error) loss + beta * mean implicit
-    (sequence NLL) loss + gamma_reg * L2 over parameters.
+    """beta * implicit (sequence NLL) loss + alpha * explicit (squared-error)
+    loss + gamma_reg * L2 over parameters.
 
-    Each entry is a precomputed (loss, grads) pair from the model. alpha
-    defaults to the reliability-derived weight.
-    """
-    if not explicit_losses and not implicit_losses:
-        raise AdaptiveError("batch contains neither explicit nor implicit feedback")
-    if alpha is None:
-        alpha, beta = reliability_weights(weights)
-    else:
-        beta = 1.0 - alpha
-    if not explicit_losses:
-        alpha, beta = 0.0, 1.0
-    elif not implicit_losses:
-        alpha, beta = 1.0, 0.0
-
+    Each term is a precomputed (loss, grads) pair from the model. alpha is
+    the weight of :func:`reliability_weights`, or 0 without an explicit
+    term; beta = 1 - alpha."""
+    alpha = reliability_weights(weights)[0] if explicit is not None else 0.0
     total = 0.0
     grads: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in params.items()}
-
-    def accumulate(entries, weight):
-        nonlocal total
-        if not entries or weight == 0.0:
-            return
-        scale = weight / len(entries)
-        for loss, g in entries:
-            total += scale * loss
-            for name, arr in g.items():
-                grads[name] += scale * arr
-
-    accumulate(explicit_losses, alpha)
-    accumulate(implicit_losses, beta)
+    for term, weight in ((explicit, alpha), (implicit, 1.0 - alpha)):
+        if term is None or weight == 0.0:
+            continue
+        loss, g = term
+        total += weight * loss
+        for name, arr in g.items():
+            grads[name] += weight * arr
 
     if weights.gamma_reg > 0.0:
         for name, arr in params.items():

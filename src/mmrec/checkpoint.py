@@ -96,23 +96,38 @@ def save(ckpt: Checkpoint, path: str) -> None:
                 fh.write(raw)
 
 
+def _read(fh, n: int, path: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"{path}: truncated file")
+    return data
+
+
 def load(path: str) -> Checkpoint:
+    """Read a checkpoint; a truncated or inconsistent file raises CheckpointError."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read(fh, 4, path))
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: format version {version} != {FORMAT_VERSION}"
             )
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<Q", _read(fh, 8, path))
+        try:
+            header = json.loads(_read(fh, hlen, path).decode("utf-8"))
+        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+            raise CheckpointError(f"{path}: corrupt header") from exc
         sections: dict[str, dict[str, np.ndarray]] = {}
         for s in SECTIONS:
             tensors = {}
             for entry in header["manifest"][s]:
-                (blen,) = struct.unpack("<Q", fh.read(8))
-                arr = np.frombuffer(fh.read(blen), dtype="<f8").astype(np.float64)
+                (blen,) = struct.unpack("<Q", _read(fh, 8, path))
+                size = 8 * int(np.prod(entry["shape"]))
+                if blen != size:
+                    raise CheckpointError(f"{path}: {s}/{entry['name']} has "
+                                          f"{blen} payload bytes, not {size}")
+                arr = np.frombuffer(_read(fh, blen, path), dtype="<f8").astype(np.float64)
                 tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
             sections[s] = tensors
     opt = OptimizerState(

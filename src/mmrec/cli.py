@@ -3,7 +3,8 @@
 Subcommands: ingest, train, evaluate, ablate, recommend, explain,
 online-update, report. Dataset paths in the config file are resolved
 against $MMREC_DATA_ROOT when set. Exit codes: 0 success, 1 usage,
-2 data or checkpoint error, 3 numerical failure.
+2 data, config or checkpoint error, 3 numerical failure (training or an
+online update diverged; online-update then writes no checkpoint).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import checkpoint as ckpt_io
 from . import harness, metrics
 from .adaptive import FeedbackWeights
 from .dataset import DataError, load_dataset
+from .generator import GenerationError
 from .harness import ExperimentConfig, HarnessError
 
 EXIT_OK = 0
@@ -142,14 +144,26 @@ def cmd_online_update(args) -> int:
     ckpt = ckpt_io.load(args.checkpoint)
     model = harness.model_from_checkpoint(ckpt, cfg, ds)
     events = []
-    with open(_resolve(args.events), "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                events.append(json.loads(line))
-    logs = harness.online_update(
-        model, ds, cfg, events, ckpt.opt_state,
-        ewc=ckpt.ewc, weights=FeedbackWeights(gamma_reg=cfg.gamma_reg),
-    )
+    path = _resolve(args.events)
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid JSON") from exc
+            if not isinstance(event, dict):
+                raise DataError(f"{path}:{lineno}: not a JSON object")
+            events.append(event)
+    try:
+        logs = harness.online_update(
+            model, ds, cfg, events, ckpt.opt_state,
+            ewc=ckpt.ewc, weights=FeedbackWeights(gamma_reg=cfg.gamma_reg),
+        )
+    except GenerationError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     ckpt.params = model.params
     ckpt.step = ckpt.opt_state.step_count
     ckpt_io.save(ckpt, args.out)

@@ -23,8 +23,6 @@ from .adaptive import (
     combined_feedback_loss,
     estimate_fisher,
     ewc_penalty,
-    momentum_step,
-    reliability_weights,
     selective_step,
 )
 from .checkpoint import Checkpoint
@@ -71,7 +69,6 @@ class ExperimentConfig:
     propensity_clip: float = 0.01
     use_ips: bool = True
     adversary_lr: float = 0.5
-    adversary_steps: int = 1
     adversary_decay: float = 0.01
     fair_grad_clip: float = 1.0
     grad_clip: float = 10.0
@@ -90,6 +87,11 @@ class ExperimentConfig:
     max_prefixes_per_user: int = 6
     seed: int = 0
     flags: dict = field(default_factory=lambda: FeatureFlags().as_dict())
+
+    def __post_init__(self):
+        unknown = sorted(set(self.flags) - set(FeatureFlags().as_dict()))
+        if unknown:
+            raise HarnessError(f"unknown flags: {unknown}")
 
     def feature_flags(self) -> FeatureFlags:
         return FeatureFlags(**self.flags)
@@ -381,23 +383,13 @@ def train(
                             config.lambda_fair * drep, res.mm_cache,
                             model.params, grads,
                         )
-                # alternating adversary updates (adversary minimizes); extra
-                # inner steps keep its discriminant direction from wandering,
-                # and weight decay bounds its strength so the reversed
-                # gradient cannot escalate without limit
+                # alternating adversary update (adversary minimizes); weight
+                # decay bounds its strength so the reversed gradient cannot
+                # escalate without limit
                 for k in model.adv:
                     model.adv[k] -= config.adversary_lr * (
                         adv_grads[k] + config.adversary_decay * model.adv[k]
                     )
-                for _ in range(config.adversary_steps - 1):
-                    _, step_grads, _ = debias.adversary_loss(
-                        reps, gids, model.adv,
-                        reversal_coeff=config.reversal_coeff,
-                    )
-                    for k in model.adv:
-                        model.adv[k] -= config.adversary_lr * (
-                            step_grads[k] + config.adversary_decay * model.adv[k]
-                        )
                 batch_loss += config.lambda_fair * adv_loss
                 epoch_adv += adv_loss
 
@@ -421,13 +413,10 @@ def train(
                     for k in grads:
                         grads[k] *= scale
 
-            if flags.adaptive:
-                eta = adaptive_rate(
-                    config.eta0, config.lambda_u, float(np.mean(entropies))
-                )
-                selective_step(model.params, grads, opt, eta)
-            else:
-                momentum_step(model.params, grads, opt)
+            eta = adaptive_rate(
+                config.eta0, config.lambda_u, float(np.mean(entropies))
+            ) if flags.adaptive else config.eta0
+            selective_step(model.params, grads, opt, eta)
             epoch_loss += batch_loss
             n_batches += 1
 
@@ -587,7 +576,6 @@ def run_ablation(
         flags.update(update)
         cfg = copy.deepcopy(config)
         cfg.flags = dict(flags)
-        cfg.flags["cross_modal_mixing"] = flags.get("fusion", False)
         ckpt, _ = train(cfg, ds)
         mdl = model_from_checkpoint(ckpt, cfg, ds)
         rows[label] = evaluate(mdl, ds, cfg)[0]["model"]
@@ -646,8 +634,9 @@ def explain_payload(
     flags = config.feature_flags()
     user = ds.users[user_id]
     h_user = model.encode_user(user, user.history, ds, flags)[0]
-    evidence = explanations(model, ds, user, h_user,
-                            model.item_embeddings(ds, flags), [item_id],
+    embeddings = {iid: model.encode_item(ds.items[iid], ds, flags)[0]
+                  for iid in dict.fromkeys([item_id, *user.history])}
+    evidence = explanations(model, ds, user, h_user, embeddings, [item_id],
                             aspect_names)[0]
     return {"user_id": user_id, "item_id": item_id, **evidence}
 
@@ -658,7 +647,7 @@ def explanations(
     aspect_names: list[str],
 ) -> list[dict]:
     """Explanation text, type and evidence of each item for one user, from
-    the preference head and the catalog's item ``embeddings``."""
+    the preference head and the ``embeddings`` of the items and the history."""
     head = explain.PreferenceHead(
         w=model.params["pref.w"], b=model.params["pref.b"],
         aspect_labels=aspect_names,
@@ -731,18 +720,16 @@ def online_update(
         agreement = 1.0 if nll.forward.probs[target_idx] > 1.0 / ds.n_items else 0.0
         weights.update("explicit" if kind == EXPLICIT else "implicit", agreement)
 
-        explicit_entries = []
-        implicit_entries = [(nll.loss, g_nll)]
+        explicit = None
         if kind == EXPLICIT and ev.get("value") is not None:
             g_rate = model.zero_grads()
             rl = model.example_rating_loss(
                 (nll.h_user, nll.mm_cache), hist, float(ev["value"]), ds,
                 grads=g_rate,
             )
-            explicit_entries.append((rl, g_rate))
-        alpha, _beta = reliability_weights(weights)
+            explicit = (rl, g_rate)
         total, grads = combined_feedback_loss(
-            explicit_entries, implicit_entries, model.params, weights, alpha=alpha,
+            (nll.loss, g_nll), explicit, model.params, weights,
         )
         if ewc is not None and ewc.lambda_ewc > 0:
             ploss, pgrads = ewc_penalty(model.params, ewc)
@@ -756,6 +743,6 @@ def online_update(
             "eta": eta, "uncertainty": uncertainty,
             "updated_fraction": frac, "loss": total,
             "nll": nll.loss,
-            "rating_loss": explicit_entries[0][0] if explicit_entries else None,
+            "rating_loss": explicit[0] if explicit else None,
         })
     return logs

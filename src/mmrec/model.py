@@ -41,14 +41,12 @@ class FeatureFlags:
     debias: bool = True
     explain: bool = True
     adaptive: bool = True
-    cross_modal_mixing: bool = True
 
     def as_dict(self) -> dict:
         return {
             "fusion": self.fusion, "retrieval": self.retrieval,
             "debias": self.debias, "explain": self.explain,
             "adaptive": self.adaptive,
-            "cross_modal_mixing": self.cross_modal_mixing,
         }
 
 
@@ -151,17 +149,11 @@ class Model:
     def encode_user(self, user: UserRecord, history_ids: list[str],
                     ds: Dataset, flags: FeatureFlags):
         inputs = user_inputs(user, history_ids, ds, self.cfg)
-        return mm.multimodal_forward(
-            inputs, self.params,
-            mix=flags.cross_modal_mixing, fusion_on=flags.fusion,
-        )
+        return mm.multimodal_forward(inputs, self.params, fusion_on=flags.fusion)
 
     def encode_item(self, rec: ItemRecord, ds: Dataset, flags: FeatureFlags):
         inputs = item_inputs(rec, ds.category_vocab, self.cfg)
-        return mm.multimodal_forward(
-            inputs, self.params,
-            mix=flags.cross_modal_mixing, fusion_on=flags.fusion,
-        )
+        return mm.multimodal_forward(inputs, self.params, fusion_on=flags.fusion)
 
     def item_embeddings(self, ds: Dataset, flags: FeatureFlags) -> dict[str, np.ndarray]:
         """Fused content embedding per catalog item (a detached snapshot)."""
@@ -180,7 +172,6 @@ class Model:
         ds: Dataset,
         flags: FeatureFlags,
         context_embeddings: list[np.ndarray] | None = None,
-        exclude: set[int] | None = None,
         grads: dict | None = None,
         weight: float = 1.0,
         user_state: tuple | None = None,
@@ -200,7 +191,6 @@ class Model:
             h_user=h_user,
             context_embeddings=list(context_embeddings or []),
             history=[ds.item_index[i] for i in history_ids],
-            exclude=exclude or set(),
         )
         fr = gen.generator_forward(request, self.params)
         loss, dlogits = gen.nll_dlogits(fr, target_idx)

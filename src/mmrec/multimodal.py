@@ -183,10 +183,10 @@ def fuse(
 
 
 def multimodal_forward(
-    inputs: dict, params: dict, mix: bool = True, fusion_on: bool = True
+    inputs: dict, params: dict, fusion_on: bool = True
 ) -> tuple[np.ndarray, dict]:
-    """Full stack: encode each modality, optionally mix via pairwise
-    cross-modal attention (residual mean over incoming pairs), then fuse.
+    """Full stack: encode each modality, mix via pairwise cross-modal
+    attention (residual mean over incoming pairs), then fuse.
     Attention over a single pooled key reduces to its value projection,
     so pair (m, n) contributes ``h_n @ V_mn`` (see the module docstring).
 
@@ -200,34 +200,27 @@ def multimodal_forward(
     h_cat, c_cat = encode_categorical(inputs["cat"], params)
     h_num, c_num = encode_numeric(inputs["num"], params, prefix)
     raw = [h_text, h_cat, h_num]
-    cache: dict = {"enc": [c_text, c_cat, c_num], "mix": None, "fusion_on": fusion_on}
+    cache: dict = {"enc": [c_text, c_cat, c_num], "fusion_on": fusion_on}
 
     if not fusion_on:
-        fused = (raw[0] + raw[1] + raw[2]) / 3.0
-        cache["raw"] = raw
-        return fused, cache
+        return (raw[0] + raw[1] + raw[2]) / 3.0, cache
 
-    if mix:
-        M = len(MODALITIES)
-        rows = [np.atleast_2d(h) for h in raw]
-        mixed = []
-        mix_caches = []
-        for mi, m in enumerate(MODALITIES):
-            acc = np.zeros(raw[mi].shape)
-            pair_caches = []
-            for ni, n in enumerate(MODALITIES):
-                if mi == ni:
-                    continue
-                name = f"xm.{m}.{n}.v"
-                acc += (rows[ni] @ params[name])[0]
-                pair_caches.append((ni, name, rows[ni]))
-            mixed.append(raw[mi] + acc / (M - 1))
-            mix_caches.append(pair_caches)
-        cache["mix"] = mix_caches
-        hs = mixed
-    else:
-        hs = raw
-    cache["raw"] = raw
+    M = len(MODALITIES)
+    rows = [np.atleast_2d(h) for h in raw]
+    hs = []
+    mix_caches = []
+    for mi, m in enumerate(MODALITIES):
+        acc = np.zeros(raw[mi].shape)
+        pair_caches = []
+        for ni, n in enumerate(MODALITIES):
+            if mi == ni:
+                continue
+            name = f"xm.{m}.{n}.v"
+            acc += (rows[ni] @ params[name])[0]
+            pair_caches.append((ni, name, rows[ni]))
+        hs.append(raw[mi] + acc / (M - 1))
+        mix_caches.append(pair_caches)
+    cache["mix"] = mix_caches
     alpha = fusion_weights(hs, params["fus.w"])
     fused, fcache = fuse(hs, alpha, params)
     cache["fcache"] = fcache
@@ -242,38 +235,30 @@ def multimodal_backward(
     c_text, c_cat, c_num = cache["enc"]
     if not cache["fusion_on"]:
         d_raw = [d_fused / 3.0] * 3
-        encode_text_backward(d_raw[0], c_text, params, grads)
-        encode_categorical_backward(d_raw[1], c_cat, params, grads)
-        encode_numeric_backward(d_raw[2], c_num, params, grads)
-        return
-
-    f = cache["fcache"]
-    hs, alpha, beta, mlp = f["hs"], f["alpha"], f["beta"], f["mlp"]
-    M = len(hs)
-    d_hs = [alpha[m] * d_fused for m in range(M)]
-    d_alpha = np.array([d_fused @ hs[m] for m in range(M)])
-    grads["fus.beta"][0] += d_fused @ mlp
-    dz = (1.0 - mlp * mlp) * (beta * d_fused)
-    grads["fus.wc"] += np.outer(f["concat"], dz)
-    grads["fus.bc"] += dz
-    dconcat = params["fus.wc"] @ dz
-    d = hs[0].size
-    for m in range(M):
-        d_hs[m] = d_hs[m] + dconcat[m * d : (m + 1) * d]
-    ds = softmax_backward(alpha, d_alpha)
-    for m in range(M):
-        grads["fus.w"][m] += ds[m] * hs[m]
-        d_hs[m] = d_hs[m] + ds[m] * params["fus.w"][m]
-
-    if cache["mix"] is not None:
+    else:
+        f = cache["fcache"]
+        hs, alpha, beta, mlp = f["hs"], f["alpha"], f["beta"], f["mlp"]
+        M = len(hs)
+        d_hs = [alpha[m] * d_fused for m in range(M)]
+        d_alpha = np.array([d_fused @ hs[m] for m in range(M)])
+        grads["fus.beta"][0] += d_fused @ mlp
+        dz = (1.0 - mlp * mlp) * (beta * d_fused)
+        grads["fus.wc"] += np.outer(f["concat"], dz)
+        grads["fus.bc"] += dz
+        dconcat = params["fus.wc"] @ dz
+        d = hs[0].size
+        for m in range(M):
+            d_hs[m] = d_hs[m] + dconcat[m * d : (m + 1) * d]
+        ds = softmax_backward(alpha, d_alpha)
+        for m in range(M):
+            grads["fus.w"][m] += ds[m] * hs[m]
+            d_hs[m] = d_hs[m] + ds[m] * params["fus.w"][m]
         d_raw = [d_hs[m].copy() for m in range(M)]  # residual path
         for mi, pair_caches in enumerate(cache["mix"]):
             dout = (d_hs[mi] / (M - 1))[None, :]
             for (ni, name, xkv) in pair_caches:
                 grads[name] += xkv.T @ dout
                 d_raw[ni] += (dout @ params[name].T)[0]
-    else:
-        d_raw = d_hs
 
     encode_text_backward(d_raw[0], c_text, params, grads)
     encode_categorical_backward(d_raw[1], c_cat, params, grads)

@@ -251,9 +251,8 @@ def test_fairness_mechanism():
             d=16, d_k=8, n_blocks=1, max_seq=24, max_tokens=8,
             epochs=6, batch_size=8, max_prefixes_per_user=4, seed=0,
             retrieval_k=2, n_aspects=8, eta0=0.1, use_ips=False,
-            lambda_fair=lam_fair, adversary_lr=0.2, adversary_steps=1,
-            adversary_decay=0.01, fair_grad_clip=0.5, reversal_coeff=3.0,
-            lambda_rating=0.5,
+            lambda_fair=lam_fair, adversary_lr=0.2, adversary_decay=0.01,
+            fair_grad_clip=0.5, reversal_coeff=3.0, lambda_rating=0.5,
         )
         ckpt, _ = harness.train(cfg, ds)
         model = harness.model_from_checkpoint(ckpt, cfg, ds)
@@ -386,7 +385,7 @@ def test_ablation_direction():
         flags = {k: False for k in FeatureFlags().as_dict()}
         for label, upd in [
             ("baseline", {}),
-            ("+fusion", {"fusion": True, "cross_modal_mixing": True}),
+            ("+fusion", {"fusion": True}),
             ("+retrieval", {"retrieval": True}),
         ]:
             flags.update(upd)

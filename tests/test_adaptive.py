@@ -1,6 +1,6 @@
 """Online-learning oracle tests: hand-unrolled momentum recursion, the
 uncertainty-scaled rate, selective-update edge cases, reliability EMAs,
-EWC hand values, and the Fisher estimator."""
+the feedback objective, EWC hand values, and the Fisher estimator."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from mmrec.adaptive import (
     combined_feedback_loss,
     estimate_fisher,
     ewc_penalty,
-    momentum_step,
     reliability_weights,
     selective_step,
     update_probabilities,
@@ -23,15 +22,15 @@ from mmrec.numerics import finite_diff_grad, make_rng, rel_error
 
 
 def test_momentum_hand_unrolled():
-    # gamma=0.9, eta=0.1, constant gradient 1:
+    # tau_sel=0, gamma=0.9, eta=0.1, constant gradient 1:
     # v1 = 0.1, v2 = 0.9*0.1 + 0.1 = 0.19
     params = {"w": np.array([1.0])}
-    state = OptimizerState(gamma_m=0.9, eta0=0.1)
+    state = OptimizerState(gamma_m=0.9, eta0=0.1, tau_sel=0.0)
     grads = {"w": np.array([1.0])}
-    assert momentum_step(params, grads, state)
+    assert selective_step(params, grads, state) == 1.0
     assert state.momentum["w"][0] == pytest.approx(0.1)
     assert params["w"][0] == pytest.approx(0.9)
-    assert momentum_step(params, grads, state)
+    assert selective_step(params, grads, state) == 1.0
     assert state.momentum["w"][0] == pytest.approx(0.19)
     assert params["w"][0] == pytest.approx(0.71)
     assert state.step_count == 2
@@ -39,9 +38,9 @@ def test_momentum_hand_unrolled():
 
 def test_momentum_rejects_nonfinite_whole_step():
     params = {"a": np.array([1.0]), "b": np.array([2.0])}
-    state = OptimizerState()
+    state = OptimizerState(tau_sel=0.0)
     grads = {"a": np.array([1.0]), "b": np.array([np.nan])}
-    assert not momentum_step(params, grads, state)
+    assert selective_step(params, grads, state) == 0.0
     assert params["a"][0] == 1.0 and params["b"][0] == 2.0
     assert state.step_count == 0
 
@@ -69,18 +68,15 @@ def test_update_probabilities_softmax_over_abs():
     assert p[2] < p[0]
 
 
-def test_selective_tau_zero_bitwise_equals_momentum():
-    rng = make_rng(1)
-    p1 = {"w": rng.standard_normal(5)}
-    p2 = {"w": p1["w"].copy()}
-    g = {"w": rng.standard_normal(5)}
-    s1 = OptimizerState(tau_sel=0.0)
-    s2 = OptimizerState(tau_sel=0.0)
-    momentum_step(p1, {k: v.copy() for k, v in g.items()}, s1)
-    frac = selective_step(p2, {k: v.copy() for k, v in g.items()}, s2)
-    assert frac == 1.0
-    assert np.array_equal(p1["w"], p2["w"])
-    assert np.array_equal(s1.momentum["w"], s2.momentum["w"])
+def test_selective_tau_zero_updates_every_coordinate():
+    # a per-tensor softmax over these magnitudes underflows to 0 at the
+    # zero and at the 1; tau_sel = 0 must still update all four
+    params = {"w": np.zeros(4)}
+    state = OptimizerState(tau_sel=0.0, eta0=0.1, gamma_m=0.9)
+    grads = {"w": np.array([1000.0, 0.0, -1000.0, 1.0])}
+    assert selective_step(params, grads, state) == 1.0
+    assert np.array_equal(state.momentum["w"], 0.1 * grads["w"])
+    assert np.array_equal(params["w"], -0.1 * grads["w"])
 
 
 def test_selective_freezes_low_probability_coordinates():
@@ -187,10 +183,9 @@ def test_combined_feedback_loss_hand_worked():
     params = {"w": np.array([1.0, -1.0])}
     ge = {"w": np.array([2.0, 0.0])}
     gi = {"w": np.array([0.0, 4.0])}
-    w = FeedbackWeights(gamma_reg=0.0)
-    loss, grads = combined_feedback_loss(
-        [(1.0, ge)], [(3.0, gi)], params, w, alpha=0.25,
-    )
+    # alpha = 1 / (1 + 3) = 0.25
+    w = FeedbackWeights(rel_explicit=1.0, rel_implicit=3.0, gamma_reg=0.0)
+    loss, grads = combined_feedback_loss((3.0, gi), (1.0, ge), params, w)
     # 0.25*1 + 0.75*3 = 2.5; grad = 0.25*ge + 0.75*gi
     assert loss == pytest.approx(2.5)
     assert np.allclose(grads["w"], [0.5, 3.0])
@@ -199,21 +194,23 @@ def test_combined_feedback_loss_hand_worked():
 def test_combined_feedback_single_kind_forces_full_weight():
     params = {"w": np.zeros(1)}
     g = {"w": np.ones(1)}
-    w = FeedbackWeights()
-    loss, grads = combined_feedback_loss([], [(2.0, g)], params, w, alpha=0.9)
+    # reliabilities that would give alpha 0.9 with an explicit term
+    w = FeedbackWeights(rel_explicit=0.9, rel_implicit=0.1)
+    loss, grads = combined_feedback_loss((2.0, g), None, params, w)
     assert loss == pytest.approx(2.0)       # beta forced to 1
     assert grads["w"][0] == pytest.approx(1.0)
-    loss, grads = combined_feedback_loss([(2.0, g)], [], params, w, alpha=0.1)
-    assert loss == pytest.approx(2.0)       # alpha forced to 1
-    with pytest.raises(AdaptiveError):
-        combined_feedback_loss([], [], params, w)
+    # both reliabilities zero: 0.5/0.5
+    loss, grads = combined_feedback_loss((2.0, g), (4.0, g), params,
+                                         FeedbackWeights())
+    assert loss == pytest.approx(3.0)
+    assert grads["w"][0] == pytest.approx(1.0)
 
 
 def test_combined_feedback_l2_term():
     params = {"w": np.array([2.0])}
     g = {"w": np.zeros(1)}
     w = FeedbackWeights(gamma_reg=0.5)
-    loss, grads = combined_feedback_loss([], [(0.0, g)], params, w)
+    loss, grads = combined_feedback_loss((0.0, g), None, params, w)
     # 0.5 * 2^2 = 2; grad = 2*0.5*2 = 2
     assert loss == pytest.approx(2.0)
     assert grads["w"][0] == pytest.approx(2.0)

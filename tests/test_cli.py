@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from mmrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from mmrec import checkpoint as ckpt_io
+from mmrec.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from mmrec.synth import planted_categories, write_dataset_files
 
 
@@ -38,7 +39,7 @@ def workdir(tmp_path_factory):
     assert main(["train", "--config", str(cfg_path), "--out", ckpt]) == EXIT_OK
     return {"root": root, "config": str(cfg_path), "user": uid,
             "events": str(events), "ckpt": ckpt,
-            "item": ds.item_ids[3]}
+            "item": ds.item_ids[3], "item_pos": ds.item_index[ds.item_ids[3]]}
 
 
 def test_ingest(workdir, capsys):
@@ -125,12 +126,21 @@ def test_online_update(workdir, tmp_path, capsys):
     assert "eta" in entries[0] and "updated_fraction" in entries[0]
 
 
-def test_flag_override_changes_behavior(workdir, capsys):
+def test_flag_override_changes_behavior(workdir, tmp_path, capsys):
     rc = main(["ingest", "--config", workdir["config"],
                "--flags", "retrieval=off,debias=off"])
     assert rc == EXIT_OK
     rc = main(["ingest", "--config", workdir["config"], "--flags", "bogus=on"])
     assert rc == EXIT_DATA
+    # an unknown flag in the config file itself, such as the removed
+    # cross_modal_mixing, is a config error too
+    cfg = json.loads(open(workdir["config"]).read())
+    for flag in ("bogus", "cross_modal_mixing"):
+        cfg["flags"] = {"fusion": True, flag: True}
+        bad = tmp_path / f"{flag}.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["ingest", "--config", str(bad)]) == EXIT_DATA
+        assert flag in capsys.readouterr().err
 
 
 def test_usage_errors():
@@ -160,6 +170,49 @@ def test_bad_checkpoint_version_exit_code(workdir, tmp_path, capsys):
                    "--checkpoint", str(old), "--user", workdir["user"]])
         assert rc == EXIT_DATA
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_truncated_checkpoint_and_bad_event_lines(workdir, tmp_path, capsys):
+    # a checkpoint cut short and an event line that is not JSON are data
+    # errors (exit 2 with an error line), not tracebacks
+    with open(workdir["ckpt"], "rb") as fh:
+        blob = fh.read()
+    for size in (len(blob) // 2, 30):
+        cut = tmp_path / f"cut{size}.ckpt"
+        cut.write_bytes(blob[:size])
+        rc = main(["recommend", "--config", workdir["config"],
+                   "--checkpoint", str(cut), "--user", workdir["user"]])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error:")
+
+    good = open(workdir["events"]).read()
+    for line, message in (("not json", "invalid JSON"),
+                          ("[1, 2]", "not a JSON object")):
+        events = tmp_path / "events.jsonl"
+        events.write_text(good + "\n" + line + "\n")
+        out_ckpt = tmp_path / "updated.ckpt"
+        rc = main(["online-update", "--config", workdir["config"],
+                   "--checkpoint", workdir["ckpt"], "--events", str(events),
+                   "--out", str(out_ckpt)])
+        assert rc == EXIT_DATA
+        assert f"{events}:3: {message}" in capsys.readouterr().err
+        assert not out_ckpt.exists()
+
+
+def test_degenerate_online_update_exits_3(workdir, tmp_path, capsys):
+    # an event whose target probability underflows to 0 cannot be learned
+    # from: numerical failure, and no updated checkpoint
+    ckpt = ckpt_io.load(workdir["ckpt"])
+    ckpt.params["gen.bout"][workdir["item_pos"]] = -1e4
+    bad = str(tmp_path / "degenerate.ckpt")
+    ckpt_io.save(ckpt, bad)
+    out_ckpt = tmp_path / "updated.ckpt"
+    rc = main(["online-update", "--config", workdir["config"],
+               "--checkpoint", bad, "--events", workdir["events"],
+               "--out", str(out_ckpt)])
+    assert rc == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not out_ckpt.exists()
 
 
 def test_data_root_env_var(workdir, monkeypatch, tmp_path, capsys):

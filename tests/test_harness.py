@@ -47,6 +47,14 @@ def test_config_from_dict_ignores_unknown_keys():
     assert cfg.d == 4
 
 
+def test_config_rejects_unknown_flag():
+    # an unknown flag is a config error, not a TypeError from FeatureFlags
+    with pytest.raises(HarnessError, match="bogus"):
+        ExperimentConfig.from_dict({"flags": {"bogus": True}}).feature_flags()
+    with pytest.raises(HarnessError, match="cross_modal_mixing"):
+        _config(flags={**_config().flags, "cross_modal_mixing": True})
+
+
 def test_build_examples_last_prefixes(ds):
     examples = harness.build_examples(ds, max_prefixes=2)
     by_user = {}
@@ -120,6 +128,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ckpt_io.CheckpointError):
+        ckpt_io.load(str(path))
+    # a header that is not JSON
+    path.write_bytes(b"MMRC" + (ckpt_io.FORMAT_VERSION).to_bytes(4, "little")
+                     + (4).to_bytes(8, "little") + b"\xff{x}")
+    with pytest.raises(ckpt_io.CheckpointError, match="corrupt header"):
+        ckpt_io.load(str(path))
+    # a payload length that disagrees with its manifest shape
+    ckpt_io.save(ckpt_io.Checkpoint(params={"w": np.zeros(3)}, adv={},
+                                    opt_state=OptimizerState()), str(path))
+    blob = bytearray(path.read_bytes())
+    first = 16 + int.from_bytes(blob[8:16], "little")   # after the header
+    blob[first:first + 8] = (16).to_bytes(8, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ckpt_io.CheckpointError, match="payload bytes"):
         ckpt_io.load(str(path))
 
 
@@ -209,10 +231,20 @@ def test_recommend_payload_schema(ds):
 def test_each_call_encodes_catalog_and_user_once(ds, monkeypatch):
     # recommend_payload shares one catalog encode between retrieval and the
     # explanations, and one user encode between retrieval and ranking;
-    # evaluate shares one catalog encode between retrieval and ILD
+    # evaluate shares one catalog encode between retrieval and ILD;
+    # explain_payload encodes only the item and the user's history items
     cfg = _config()
     ckpt, _ = harness.train(cfg, ds)
     model = harness.model_from_checkpoint(ckpt, cfg, ds)
+    labels = ckpt.extra["aspect_labels"]
+    uid = sorted(ds.users)[0]
+    user = ds.users[uid]
+    item = next(i for i in ds.item_ids if i not in user.history)
+    flags = cfg.feature_flags()
+    h_user = model.encode_user(user, user.history, ds, flags)[0]
+    expected = harness.explanations(model, ds, user, h_user,
+                                    model.item_embeddings(ds, flags), [item],
+                                    labels)[0]
     counts = {"encode_item": 0, "encode_user": 0}
     for name in counts:
         original = getattr(Model, name)
@@ -223,13 +255,17 @@ def test_each_call_encodes_catalog_and_user_once(ds, monkeypatch):
 
         monkeypatch.setattr(Model, name, counted)
 
-    uid = sorted(ds.users)[0]
-    harness.recommend_payload(model, ds, cfg, uid, 5, ckpt.extra["aspect_labels"])
+    harness.recommend_payload(model, ds, cfg, uid, 5, labels)
     assert counts == {"encode_item": ds.n_items, "encode_user": 1}
     counts.update(encode_item=0, encode_user=0)
     _, aux = harness.evaluate(model, ds, cfg)
     assert counts == {"encode_item": ds.n_items,
                       "encode_user": len(aux["scored_lists"])}
+    counts.update(encode_item=0, encode_user=0)
+    payload = harness.explain_payload(model, ds, cfg, uid, item, labels)
+    assert payload == {"user_id": uid, "item_id": item, **expected}
+    assert counts["encode_item"] <= 1 + len(user.history)
+    assert counts["encode_user"] == 1
 
 
 def test_online_update_deterministic_and_logged(ds):

@@ -106,7 +106,7 @@ def test_fusion_off_is_plain_mean(params):
     h_text, _ = encode_text(inputs["text"], params)
     h_cat, _ = encode_categorical(inputs["cat"], params)
     h_num, _ = encode_numeric(inputs["num"], params, "num")
-    fused, _ = multimodal_forward(inputs, params, mix=True, fusion_on=False)
+    fused, _ = multimodal_forward(inputs, params, fusion_on=False)
     assert np.array_equal(fused, (h_text + h_cat + h_num) / 3.0)
 
 
@@ -116,19 +116,19 @@ def test_forward_deterministic(params):
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("mix,fusion_on", [(True, True), (False, True), (True, False)])
-def test_multimodal_backward_matches_finite_diff(params, mix, fusion_on):
+@pytest.mark.parametrize("fusion_on", [True, False])
+def test_multimodal_backward_matches_finite_diff(params, fusion_on):
     inputs = _inputs()
     rng = make_rng(7)
     dout = rng.standard_normal(D)
 
-    fused, cache = multimodal_forward(inputs, params, mix=mix, fusion_on=fusion_on)
+    fused, cache = multimodal_forward(inputs, params, fusion_on=fusion_on)
     grads = zero_grads(params)
     multimodal_backward(dout, cache, params, grads)
 
     beta = params["fus.beta"].copy()
     params["fus.beta"] = beta + 0.3  # make the gated path active
-    fused, cache = multimodal_forward(inputs, params, mix=mix, fusion_on=fusion_on)
+    fused, cache = multimodal_forward(inputs, params, fusion_on=fusion_on)
     grads = zero_grads(params)
     multimodal_backward(dout, cache, params, grads)
 
@@ -144,7 +144,7 @@ def test_multimodal_backward_matches_finite_diff(params, mix, fusion_on):
             saved = params[name]
             params[name] = flat.reshape(base.shape)
             try:
-                out, _ = multimodal_forward(inputs, params, mix=mix, fusion_on=fusion_on)
+                out, _ = multimodal_forward(inputs, params, fusion_on=fusion_on)
             finally:
                 params[name] = saved
             return float(out @ dout)
@@ -184,7 +184,7 @@ def test_mixing_equals_pairwise_attention_reference(params):
         hs.append(raw[mi] + acc / (len(MODALITIES) - 1))
     expected, _ = fuse(hs, fusion_weights(hs, p["fus.w"]), p)
 
-    fused, _ = multimodal_forward(inputs, p, mix=True)
+    fused, _ = multimodal_forward(inputs, p)
     assert np.array_equal(fused, expected)
 
 
