@@ -117,6 +117,19 @@ def selective_step(
     return updated / max(1, total)
 
 
+def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale ``grads`` in place so that their global L2 norm is at most
+    ``max_norm`` (no clip when ``max_norm`` is 0); returns the norm before
+    clipping. Norm clipping as in Pascanu et al. 2013, "On the difficulty
+    of training recurrent neural networks"."""
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    if max_norm > 0.0 and norm > max_norm:
+        scale = max_norm / norm
+        for k in grads:
+            grads[k] *= scale
+    return norm
+
+
 def reliability_weights(weights: FeedbackWeights) -> tuple[float, float]:
     """alpha = rel_explicit / (rel_explicit + rel_implicit); beta = 1-alpha.
     Both-zero reliabilities fall back to 0.5/0.5 with a log line."""

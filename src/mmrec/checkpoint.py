@@ -28,6 +28,7 @@ MAGIC = b"MMRC"
 FORMAT_VERSION = 3
 
 SECTIONS = ("params", "adv", "momentum", "fisher", "anchor")
+OPT_FIELDS = ("gamma_m", "eta0", "lambda_u", "tau_sel", "step_count")
 
 
 class CheckpointError(ValueError):
@@ -69,13 +70,7 @@ def save(ckpt: Checkpoint, path: str) -> None:
         "dataset_id": ckpt.dataset_id,
         "seed": ckpt.seed,
         "step": ckpt.step,
-        "opt": {
-            "gamma_m": ckpt.opt_state.gamma_m,
-            "eta0": ckpt.opt_state.eta0,
-            "lambda_u": ckpt.opt_state.lambda_u,
-            "tau_sel": ckpt.opt_state.tau_sel,
-            "step_count": ckpt.opt_state.step_count,
-        },
+        "opt": {k: getattr(ckpt.opt_state, k) for k in OPT_FIELDS},
         "ewc_lambda": ckpt.ewc.lambda_ewc if ckpt.ewc else None,
         "extra": ckpt.extra,
         "manifest": manifest,
@@ -118,41 +113,43 @@ def load(path: str) -> Checkpoint:
             header = json.loads(_read(fh, hlen, path).decode("utf-8"))
         except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
             raise CheckpointError(f"{path}: corrupt header") from exc
+        try:
+            manifest = {s: [(str(e["name"]), [int(n) for n in e["shape"]])
+                            for e in header["manifest"][s]] for s in SECTIONS}
+            opt_fields = {k: header["opt"][k] for k in OPT_FIELDS}
+            meta = {k: header[k] for k in ("config_hash", "dataset_id", "seed",
+                                           "step", "ewc_lambda")}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: header lacks a field or has one "
+                                  f"of the wrong type ({exc!r})") from exc
         sections: dict[str, dict[str, np.ndarray]] = {}
         for s in SECTIONS:
             tensors = {}
-            for entry in header["manifest"][s]:
+            for name, shape in manifest[s]:
                 (blen,) = struct.unpack("<Q", _read(fh, 8, path))
-                size = 8 * int(np.prod(entry["shape"]))
+                size = 8 * int(np.prod(shape))
                 if blen != size:
-                    raise CheckpointError(f"{path}: {s}/{entry['name']} has "
+                    raise CheckpointError(f"{path}: {s}/{name} has "
                                           f"{blen} payload bytes, not {size}")
                 arr = np.frombuffer(_read(fh, blen, path), dtype="<f8").astype(np.float64)
-                tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
+                tensors[name] = arr.reshape(shape).copy()
             sections[s] = tensors
-    opt = OptimizerState(
-        momentum=sections["momentum"],
-        gamma_m=header["opt"]["gamma_m"],
-        eta0=header["opt"]["eta0"],
-        lambda_u=header["opt"]["lambda_u"],
-        tau_sel=header["opt"]["tau_sel"],
-        step_count=header["opt"]["step_count"],
-    )
+    opt = OptimizerState(momentum=sections["momentum"], **opt_fields)
     ewc = None
-    if header["ewc_lambda"] is not None or sections["fisher"]:
+    if meta["ewc_lambda"] is not None or sections["fisher"]:
         ewc = EwcState(
             fisher=sections["fisher"],
             anchor=sections["anchor"],
-            lambda_ewc=header["ewc_lambda"] or 0.0,
+            lambda_ewc=meta["ewc_lambda"] or 0.0,
         )
     return Checkpoint(
         params=sections["params"],
         adv=sections["adv"],
         opt_state=opt,
         ewc=ewc,
-        config_hash=header["config_hash"],
-        dataset_id=header["dataset_id"],
-        seed=header["seed"],
-        step=header["step"],
+        config_hash=meta["config_hash"],
+        dataset_id=meta["dataset_id"],
+        seed=meta["seed"],
+        step=meta["step"],
         extra=header.get("extra", {}),
     )

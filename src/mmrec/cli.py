@@ -20,6 +20,7 @@ from .adaptive import FeedbackWeights
 from .dataset import DataError, load_dataset
 from .generator import GenerationError
 from .harness import ExperimentConfig, HarnessError
+from .model import FeatureFlags
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,7 +42,7 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "flags", None):
         for token in args.flags.split(","):
             name, _, value = token.partition("=")
-            if name not in cfg.flags:
+            if name not in FeatureFlags.__dataclass_fields__:
                 raise HarnessError(f"unknown flag {name!r}")
             cfg.flags[name] = value.lower() in ("1", "on", "true", "yes")
     return cfg

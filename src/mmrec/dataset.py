@@ -138,9 +138,10 @@ def parse_interactions(path: str) -> list[Interaction]:
     return out
 
 
-def parse_items(path: str, vocab: dict[str, int]) -> dict[str, ItemRecord]:
-    items: dict[str, ItemRecord] = {}
-    dim = None
+def _records(path: str, id_field: str | None = None):
+    """(line number, object) for each non-blank line of a JSON-lines file;
+    a line that is not a JSON object, or lacks ``id_field``, raises
+    DataError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -149,40 +150,44 @@ def parse_items(path: str, vocab: dict[str, int]) -> dict[str, ItemRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 raise DataError(f"{path}:{lineno}: invalid JSON") from None
-            numeric = np.asarray(obj.get("numeric", []), dtype=np.float64)
-            if dim is None:
-                dim = numeric.size
-            elif numeric.size != dim:
-                raise DataError(
-                    f"{path}:{lineno}: numeric dim {numeric.size} != {dim}"
-                )
-            items[obj["item_id"]] = ItemRecord(
-                item_id=obj["item_id"],
-                title=obj.get("title", ""),
-                description_tokens=tokenize(obj.get("description", ""), vocab),
-                categories=frozenset(obj.get("categories", [])),
-                numeric_features=numeric,
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: not a JSON object")
+            if id_field is not None and id_field not in obj:
+                raise DataError(f"{path}:{lineno}: missing {id_field}")
+            yield lineno, obj
+
+
+def parse_items(path: str, vocab: dict[str, int]) -> dict[str, ItemRecord]:
+    items: dict[str, ItemRecord] = {}
+    dim = None
+    for lineno, obj in _records(path, "item_id"):
+        numeric = np.asarray(obj.get("numeric", []), dtype=np.float64)
+        if dim is None:
+            dim = numeric.size
+        elif numeric.size != dim:
+            raise DataError(
+                f"{path}:{lineno}: numeric dim {numeric.size} != {dim}"
             )
+        items[obj["item_id"]] = ItemRecord(
+            item_id=obj["item_id"],
+            title=obj.get("title", ""),
+            description_tokens=tokenize(obj.get("description", ""), vocab),
+            categories=frozenset(obj.get("categories", [])),
+            numeric_features=numeric,
+        )
     return items
 
 
 def parse_users(path: str, n_groups: int = 2) -> dict[str, UserRecord]:
     users: dict[str, UserRecord] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise DataError(f"{path}:{lineno}: invalid JSON") from None
-            uid = obj["user_id"]
-            group = obj.get("group") or assign_group(uid, n_groups)
-            users[uid] = UserRecord(
-                user_id=uid,
-                group_label=group,
-                profile_features=np.asarray(obj.get("profile", [0.0]), dtype=np.float64),
-            )
+    for _, obj in _records(path, "user_id"):
+        uid = obj["user_id"]
+        group = obj.get("group") or assign_group(uid, n_groups)
+        users[uid] = UserRecord(
+            user_id=uid,
+            group_label=group,
+            profile_features=np.asarray(obj.get("profile", [0.0]), dtype=np.float64),
+        )
     return users
 
 
@@ -251,10 +256,21 @@ class Dataset:
     category_vocab: dict[str, int]
     last_train_timestamp: int            # latest train timestamp (0 if none)
     item_last_timestamps: dict[str, int]  # item_id -> its latest train timestamp
+    # values derived from the fields above, built on first use (see derived)
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def n_items(self) -> int:
         return len(self.item_ids)
+
+    def derived(self, key, build):
+        """``build()``, computed once per dataset and ``key``: for structures
+        that depend on the dataset alone, so that they are neither rebuilt
+        per call nor built at load time by callers that never need them."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def train_interactions(self) -> list[Interaction]:
         return [self.interactions[i] for i in self.split.train]
@@ -329,15 +345,7 @@ def load_dataset(
     """Load from files. Vocabulary is built from item descriptions only."""
     interactions = parse_interactions(interactions_path)
     # First pass with empty vocab just to read raw descriptions.
-    raw_texts = []
-    with open(items_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw_texts.append(json.loads(line).get("description", ""))
-            except json.JSONDecodeError:
-                raise DataError(f"{items_path}:{lineno}: invalid JSON") from None
+    raw_texts = [obj.get("description", "") for _, obj in _records(items_path)]
     vocab = build_vocab(raw_texts, max_size=vocab_size)
     items = parse_items(items_path, vocab)
     users = parse_users(users_path, n_groups) if users_path else {}

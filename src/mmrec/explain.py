@@ -5,7 +5,9 @@ fallback; the rendered template is picked by the dominant type weight with
 the declared tie order preference > similarity. Every slot is filled from
 what the request carries: the user's encoding and history, and the item's
 categories and embedding. Rendering is a pure function of the decision and
-its slot fillers.
+its slot fillers. Callers compute the inputs shared by a request's items
+once: the user's preference distribution, and the cosines between the
+item and history embeddings.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import cosine, softmax
+from .numerics import softmax
 
 PREFERENCE = "preference"
 SIMILARITY = "similarity"
@@ -77,18 +79,13 @@ def preference_aspect(
 
 
 def similar_from_history(
-    item_id: str,
-    history: list[str],
-    embeddings: dict[str, np.ndarray],
-    k: int,
+    neighbors: list[tuple[str, float]], k: int,
 ) -> list[tuple[str, float]]:
-    """Top-K history items by cosine to the target, ties by ascending id."""
-    if not history:
+    """Top-K of the (history item, cosine to the target) pairs by cosine,
+    ties by ascending id."""
+    if not neighbors:
         raise ExplainError("empty history: similarity explanations unavailable")
-    target = embeddings[item_id]
-    sims = [(cosine(target, embeddings[h]), h) for h in history]
-    sims.sort(key=lambda sh: (-sh[0], sh[1]))
-    return [(h, s) for s, h in sims[:k]]
+    return sorted(neighbors, key=lambda hs: (-hs[1], hs[0]))[:k]
 
 
 def select_and_render(
@@ -126,18 +123,18 @@ def select_and_render(
 
 
 def explain_recommendation(
-    user,
     item,
-    h_user: np.ndarray,
+    p_u: np.ndarray,
     head: PreferenceHead,
-    item_embeddings: dict[str, np.ndarray],
+    neighbors: list[tuple[str, float]],
 ) -> tuple[str, ExplanationDecision]:
-    """End-to-end explanation for one (user, item) pair.
+    """End-to-end explanation for one (user, item) pair, given the user's
+    preference distribution ``p_u`` and the (history item, cosine to the
+    item) pairs of the user's history without the item itself.
 
     Type weights: alpha_pref = max aspect posterior mass, when one of the
     user's top aspects is among the item's categories (else 0); alpha_sim =
     max history cosine clamped to [0,1]."""
-    p_u = preference_distribution(h_user, head)
     aspect = preference_aspect(p_u, head, item.categories)
     alpha_pref = float(np.max(p_u)) if aspect is not None else 0.0
 
@@ -146,11 +143,9 @@ def explain_recommendation(
         slots["aspect"] = aspect
 
     alpha_sim = 0.0
-    history = [h for h in user.history if h in item_embeddings and h != item.item_id]
-    if history and item.item_id in item_embeddings:
-        neighbors = similar_from_history(item.item_id, history, item_embeddings, k=1)
-        if neighbors:
-            alpha_sim = max(0.0, neighbors[0][1])
-            slots["neighbor"] = neighbors[0][0]
+    if neighbors:
+        nearest, sim = similar_from_history(neighbors, k=1)[0]
+        alpha_sim = max(0.0, sim)
+        slots["neighbor"] = nearest
 
     return select_and_render(item.title or item.item_id, alpha_pref, alpha_sim, slots)

@@ -20,6 +20,7 @@ from .adaptive import (
     FeedbackWeights,
     OptimizerState,
     adaptive_rate,
+    clip_grad_norm,
     combined_feedback_loss,
     estimate_fisher,
     ewc_penalty,
@@ -33,9 +34,9 @@ from .generator import (
     predictive_entropy,
     recommend_top_n,
 )
-from .model import FeatureFlags, Model, config_from_dataset
-from .numerics import make_rng
-from .retrieval import RetrievalConfig, build_index, retrieve_top_k
+from .model import FeatureFlags, ItemTable, Model, config_from_dataset
+from .numerics import make_rng, row_cosines, row_norms
+from .retrieval import RetrievalConfig, RetrievalIndex, retrieve_top_k
 
 log = logging.getLogger(__name__)
 
@@ -242,16 +243,17 @@ def fit_preference_head(
     model.params["pref.b"] = b
 
 
-def build_retrieval_index(model: Model, ds: Dataset, flags: FeatureFlags):
-    return build_index(ds.items, model.item_embeddings(ds, flags),
-                       ds.item_last_timestamps, ds.popularity)
+def build_retrieval_index(model: Model, ds: Dataset,
+                          flags: FeatureFlags) -> RetrievalIndex:
+    """The retrieval index of the model's current item table."""
+    return model.item_table(ds, flags).index
 
 
-def _context(index, rconf: RetrievalConfig, h_user: np.ndarray,
-             t_now: int) -> list[np.ndarray]:
+def _context(index: RetrievalIndex | None, rconf: RetrievalConfig,
+             h_user: np.ndarray, t_now: int) -> list[np.ndarray]:
     """Embeddings of the top-k index entries for one user encoding; none
     when k is 0, which is how the retrieval flag turns retrieval off (the
-    callers then build no index)."""
+    callers then pass no index)."""
     if rconf.k == 0:
         return []
     return retrieve_top_k(h_user, index, rconf, t_now).embeddings()
@@ -307,6 +309,7 @@ def train(
     last_good_adv = {k: v.copy() for k, v in model.adv.items()}
 
     for _epoch in range(config.epochs):
+        # the epoch-start snapshot: steps within the epoch do not change it
         index = build_retrieval_index(model, ds, flags) if rconf.k > 0 else None
         order = rng.permutation(len(examples))
         epoch_loss = 0.0
@@ -404,14 +407,7 @@ def train(
                 diverged = True
                 break
 
-            if config.grad_clip > 0.0:
-                gnorm = float(np.sqrt(sum(
-                    float(np.sum(g * g)) for g in grads.values()
-                )))
-                if gnorm > config.grad_clip:
-                    scale = config.grad_clip / gnorm
-                    for k in grads:
-                        grads[k] *= scale
+            clip_grad_norm(grads, config.grad_clip)
 
             eta = adaptive_rate(
                 config.eta0, config.lambda_u, float(np.mean(entropies))
@@ -463,14 +459,12 @@ def model_from_checkpoint(ckpt: Checkpoint, config: ExperimentConfig,
 
 
 def _user_lists(
-    model: Model, ds: Dataset, config: ExperimentConfig,
-    embeddings: dict[str, np.ndarray],
+    model: Model, ds: Dataset, config: ExperimentConfig, table: ItemTable,
 ) -> dict[str, list[tuple[str, float]]]:
     """Each test user's top-100 list with scores."""
     flags = config.feature_flags()
     rconf = config.retrieval_config()
-    index = build_index(ds.items, embeddings, ds.item_last_timestamps,
-                        ds.popularity) if rconf.k > 0 else None
+    index = table.index if rconf.k > 0 else None
     lists = {}
     for uid in sorted(ds.users):
         target = ds.test_target(uid)
@@ -505,8 +499,8 @@ def evaluate(
         it = ds.interactions[i]
         truth[it.user_id] = it.item_id
 
-    embeddings = model.item_embeddings(ds, config.feature_flags())
-    scored = _user_lists(model, ds, config, embeddings)
+    table = model.item_table(ds, config.feature_flags())
+    scored = _user_lists(model, ds, config, table)
     lists = {u: [i for i, _ in entries] for u, entries in scored.items()}
     users = sorted(scored)
     groups = {u: ds.users[u].group_label for u in users}
@@ -535,7 +529,7 @@ def evaluate(
         rep.metrics["ndcg@10"] = metrics.ndcg_at_k(lsts, truth, 10)
         rep.metrics["mrr"] = metrics.mrr(lsts, truth)
         rep.metrics["ild@10"] = float(np.mean([
-            metrics.intra_list_diversity(l[:10], embeddings) for l in lsts.values()
+            metrics.intra_list_diversity(table.rows(l[:10])) for l in lsts.values()
         ])) if lsts else 0.0
         rep.metrics["coverage@100"] = metrics.coverage_at_100(lsts, ds.n_items)
         rep.metrics["novelty@10"] = metrics.novelty(
@@ -598,19 +592,18 @@ def recommend_payload(
         raise HarnessError(f"unknown user {user_id!r}")
     user = ds.users[user_id]
     rconf = config.retrieval_config()
-    embeddings = model.item_embeddings(ds, flags) if (
-        flags.explain or rconf.k > 0
-    ) else {}
-    index = build_index(ds.items, embeddings, ds.item_last_timestamps,
-                        ds.popularity) if rconf.k > 0 else None
+    table = model.item_table(ds, flags) if (flags.explain or rconf.k > 0) else None
     h_user = model.encode_user(user, user.history, ds, flags)[0]
-    ctx = _context(index, rconf, h_user, ds.last_train_timestamp)
+    ctx = _context(table.index if rconf.k > 0 else None, rconf, h_user,
+                   ds.last_train_timestamp)
     recs = model.recommend(h_user, user.history, ds, n, context_embeddings=ctx)
     out = [{"item_id": iid, "title": ds.items[iid].title, "score": score}
            for iid, score in recs]
     if flags.explain:
-        explained = explanations(model, ds, user, h_user, embeddings,
-                                 [iid for iid, _ in recs], aspect_names)
+        item_ids = [iid for iid, _ in recs]
+        explained = explanations(model, ds, user, h_user, item_ids,
+                                 table.rows(item_ids), table.rows(user.history),
+                                 aspect_names)
         for entry, evidence in zip(out, explained):
             entry.update(evidence)
     return {
@@ -634,28 +627,36 @@ def explain_payload(
     flags = config.feature_flags()
     user = ds.users[user_id]
     h_user = model.encode_user(user, user.history, ds, flags)[0]
-    embeddings = {iid: model.encode_item(ds.items[iid], ds, flags)[0]
-                  for iid in dict.fromkeys([item_id, *user.history])}
-    evidence = explanations(model, ds, user, h_user, embeddings, [item_id],
-                            aspect_names)[0]
+    # a one-off pair: encode the item and the history alone, not the catalog
+    vecs = {iid: model.encode_item(ds.items[iid], ds, flags)[0]
+            for iid in dict.fromkeys([item_id, *user.history])}
+    history_vecs = np.array([vecs[h] for h in user.history]).reshape(
+        len(user.history), model.cfg.d)
+    evidence = explanations(model, ds, user, h_user, [item_id],
+                            vecs[item_id][None], history_vecs, aspect_names)[0]
     return {"user_id": user_id, "item_id": item_id, **evidence}
 
 
 def explanations(
     model: Model, ds: Dataset, user: UserRecord, h_user: np.ndarray,
-    embeddings: dict[str, np.ndarray], item_ids: list[str],
+    item_ids: list[str], item_vecs: np.ndarray, history_vecs: np.ndarray,
     aspect_names: list[str],
 ) -> list[dict]:
     """Explanation text, type and evidence of each item for one user, from
-    the preference head and the ``embeddings`` of the items and the history."""
+    the preference head and the embeddings of the items (``item_vecs``) and
+    of the user's history (``history_vecs``), one row per id."""
     head = explain.PreferenceHead(
         w=model.params["pref.w"], b=model.params["pref.b"],
         aspect_labels=aspect_names,
     )
+    p_u = explain.preference_distribution(h_user, head)
+    sims = row_cosines(item_vecs[:, None, :], history_vecs[None, :, :],
+                       row_norms(item_vecs)[:, None], row_norms(history_vecs)[None, :])
     out = []
-    for iid in item_ids:
+    for iid, row in zip(item_ids, sims):
+        neighbors = [(h, float(s)) for h, s in zip(user.history, row) if h != iid]
         text, decision = explain.explain_recommendation(
-            user, ds.items[iid], h_user, head, embeddings,
+            ds.items[iid], p_u, head, neighbors,
         )
         out.append({"explanation_text": text,
                     "explanation_type": decision.chosen_type,
@@ -736,13 +737,15 @@ def online_update(
             total += ploss
             for k, g in pgrads.items():
                 grads[k] += g
+        # one event's share of train's per-batch bound
+        grad_norm = clip_grad_norm(grads, config.grad_clip / config.batch_size)
         frac = selective_step(model.params, grads, opt, eta)
         hist.append(iid)
         logs.append({
             "user": uid, "item": iid, "kind": kind,
             "eta": eta, "uncertainty": uncertainty,
             "updated_fraction": frac, "loss": total,
-            "nll": nll.loss,
+            "nll": nll.loss, "grad_norm": grad_norm,
             "rating_loss": explicit[0] if explicit else None,
         })
     return logs

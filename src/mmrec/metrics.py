@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .debias import parity_gap
-from .numerics import cosine
+from .numerics import row_cosines, row_norms
 
 
 @dataclass
@@ -89,19 +89,18 @@ def mrr(lists: dict, truth: dict) -> float:
     return total / counted if counted else 0.0
 
 
-def intra_list_diversity(ranked: list, embeddings: dict) -> float:
-    """Mean pairwise (1 - cosine) over the list, in [0, 2]."""
-    items = [i for i in ranked if i in embeddings]
-    n = len(items)
+def intra_list_diversity(vectors: np.ndarray) -> float:
+    """Mean pairwise (1 - cosine) over a list's item embeddings (one row per
+    item, in list order), in [0, 2]. Equal bit for bit to summing the
+    scalar cosines pair by pair in order."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = len(vectors)
     if n < 2:
         return 0.0
-    total = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += 1.0 - cosine(embeddings[items[i]], embeddings[items[j]])
-            pairs += 1
-    return total / pairs
+    i, j = np.triu_indices(n, 1)   # (0, 1), (0, 2), ..., (n-2, n-1)
+    norms = row_norms(vectors)
+    cos = row_cosines(vectors[i], vectors[j], norms[i], norms[j])
+    return float(np.cumsum(1.0 - cos)[-1] / i.size)
 
 
 def coverage_at_100(lists: dict, catalog_size: int) -> float:

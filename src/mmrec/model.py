@@ -14,6 +14,7 @@ from . import multimodal as mm
 from .dataset import Dataset, ItemRecord, UserRecord
 from .debias import init_adversary
 from .numerics import init_matrix, make_rng
+from .retrieval import RetrievalIndex, build_index, index_source
 
 
 @dataclass
@@ -125,6 +126,32 @@ def _fit_dim(x: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+# item encoder tensors: the item table is current while these are unchanged
+ITEM_ENCODER_PREFIXES = ("text.", "cat.", "num.", "xm.", "fus.")
+
+
+@dataclass
+class ItemTable:
+    """The catalog as one snapshot of the item encoders sees it: the fused
+    embedding of every item (rows in ``ds.item_ids`` order) and the
+    retrieval index over them. It holds copies of the encoder tensors it
+    was built from, so any later change to them, in place or by replacing
+    ``Model.params``, is seen."""
+    embeddings: np.ndarray
+    index: RetrievalIndex
+    ds: Dataset
+    fusion: bool
+    encoder: dict[str, np.ndarray]
+
+    def rows(self, item_ids: list[str]) -> np.ndarray:
+        """The embeddings of ``item_ids``, one row each."""
+        return self.embeddings[[self.ds.item_index[i] for i in item_ids]]
+
+    def is_current(self, ds: Dataset, fusion: bool, params: dict) -> bool:
+        return (ds is self.ds and fusion == self.fusion
+                and all(np.array_equal(v, params[k]) for k, v in self.encoder.items()))
+
+
 @dataclass
 class ExampleResult:
     loss: float
@@ -143,6 +170,7 @@ class Model:
         self.params = params if params is not None else init_params(cfg, rng)
         # the adversary reads the fused user representation
         self.adv = adv if adv is not None else init_adversary(rng, cfg.d, cfg.n_groups)
+        self._table: ItemTable | None = None
 
     # ------------------------------------------------------------ encoding
 
@@ -155,12 +183,32 @@ class Model:
         inputs = item_inputs(rec, ds.category_vocab, self.cfg)
         return mm.multimodal_forward(inputs, self.params, fusion_on=flags.fusion)
 
-    def item_embeddings(self, ds: Dataset, flags: FeatureFlags) -> dict[str, np.ndarray]:
-        """Fused content embedding per catalog item (a detached snapshot)."""
-        return {
-            iid: self.encode_item(ds.items[iid], ds, flags)[0]
-            for iid in ds.item_ids
-        }
+    def item_embeddings(self, ds: Dataset, flags: FeatureFlags) -> np.ndarray:
+        """Fused content embedding of every catalog item (rows in
+        ``ds.item_ids`` order) from one batched encode of the current
+        parameters, equal bit for bit to ``encode_item`` per item. Not
+        cached: readers use :meth:`item_table`."""
+        batch = ds.derived(("item_batch", self.cfg.max_tokens, self.cfg.numeric_dim),
+                           lambda: mm.batch_inputs([
+                               item_inputs(ds.items[i], ds.category_vocab, self.cfg)
+                               for i in ds.item_ids]))
+        return mm.encode_items(batch, self.params, fusion_on=flags.fusion)
+
+    def item_table(self, ds: Dataset, flags: FeatureFlags) -> ItemTable:
+        """The :class:`ItemTable` of the current parameters, built on the
+        first read after any change to the item encoders."""
+        table = self._table
+        if table is None or not table.is_current(ds, flags.fusion, self.params):
+            embeddings = self.item_embeddings(ds, flags)
+            source = ds.derived("index_source", lambda: index_source(
+                ds.items, ds.item_ids, ds.item_last_timestamps, ds.popularity))
+            table = self._table = ItemTable(
+                embeddings=embeddings, index=build_index(source, embeddings),
+                ds=ds, fusion=flags.fusion,
+                encoder={k: v.copy() for k, v in self.params.items()
+                         if k.startswith(ITEM_ENCODER_PREFIXES)},
+            )
+        return table
 
     # ------------------------------------------------------------ training
 

@@ -19,6 +19,8 @@ Modality order is fixed as ("text", "cat", "num") everywhere.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .numerics import (
@@ -26,6 +28,7 @@ from .numerics import (
     attention_backward,
     attention_forward,
     init_matrix,
+    row_dots,
     softmax,
     softmax_backward,
 )
@@ -263,6 +266,100 @@ def multimodal_backward(
     encode_text_backward(d_raw[0], c_text, params, grads)
     encode_categorical_backward(d_raw[1], c_cat, params, grads)
     encode_numeric_backward(d_raw[2], c_num, params, grads)
+
+
+# ------------------------------------------------------- batched items
+
+@dataclass
+class ItemBatch:
+    """Encoder inputs of ``n`` items, grouped for :func:`encode_items`: text
+    by token count, categories by set size. Items without tokens or
+    categories are in no group of that modality."""
+    n: int
+    text: list[tuple[np.ndarray, np.ndarray]]   # (rows, tokens [B, t]), t > 0
+    cat: list[tuple[np.ndarray, np.ndarray]]    # (rows, ids [B, c]), c > 0
+    num: np.ndarray                             # [n, numeric dim]
+
+
+def batch_inputs(inputs: list[dict]) -> ItemBatch:
+    """Group per-item ``multimodal_forward`` inputs (all with the ``num``
+    prefix) into an :class:`ItemBatch`."""
+    def groups(key: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        by_size: dict[int, list[int]] = {}
+        for row, inp in enumerate(inputs):
+            by_size.setdefault(len(inp[key]), []).append(row)
+        return [(np.array(rows), np.array([inputs[r][key] for r in rows],
+                                          dtype=np.int64).reshape(len(rows), size))
+                for size, rows in sorted(by_size.items()) if size > 0]
+
+    num = [np.asarray(inp["num"], dtype=np.float64).ravel() for inp in inputs]
+    sizes = sorted({x.size for x in num})
+    if len(sizes) > 1:
+        raise NumericsError(f"numeric dim {sizes[-1]} != {sizes[0]} in one batch")
+    return ItemBatch(n=len(inputs), text=groups("text"), cat=groups("cat"),
+                     num=np.array(num).reshape(len(inputs), sizes[0] if sizes else 0))
+
+
+def _rows_at(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x[i] @ w`` for every row i, as stacked (1 x d) @ (d x k) products:
+    the same BLAS call per row as the per-item path, where one matrix
+    product over all rows would sum in another order."""
+    return (x[:, None, :] @ w)[:, 0]
+
+
+def encode_items(batch: ItemBatch, params: dict, fusion_on: bool = True) -> np.ndarray:
+    """The fused encoding of every item in ``batch``, one row each, equal bit
+    for bit to ``multimodal_forward`` of the item alone (no cache: item
+    encodings are not backpropagated). Raises the per-item path's errors:
+    token or category id out of range, numeric dimension mismatch, and a
+    non-finite softmax input."""
+    emb, pos = params["text.emb"], params["text.pos"]
+    if batch.n == 0:
+        return np.zeros((0, emb.shape[1]))
+    h_text = np.tile(params["text.empty"], (batch.n, 1))
+    dk = params["text.wq"].shape[1]
+    for rows, tokens in batch.text:
+        tokens = tokens[:, : pos.shape[0]]
+        if tokens.min() < 0 or tokens.max() >= emb.shape[0]:
+            raise NumericsError("token id outside vocabulary")
+        x = emb[tokens] + pos[: tokens.shape[1]]
+        q, k, v = (x @ params[f"text.{w}"] for w in ("wq", "wk", "wv"))
+        attn = softmax((q @ k.transpose(0, 2, 1)) / np.sqrt(dk))
+        h_text[rows] = ((attn @ v) @ params["text.wo"]).mean(axis=1)
+
+    cat_emb = params["cat.emb"]
+    h_cat = np.zeros((batch.n, cat_emb.shape[1]))
+    for rows, ids in batch.cat:
+        if ids.min() < 0 or ids.max() >= cat_emb.shape[0]:
+            raise NumericsError("unknown category id")
+        h_cat[rows] = cat_emb[ids].mean(axis=1)
+
+    w1 = params["num.w1"]
+    if batch.num.shape[1] != w1.shape[0]:
+        raise NumericsError(
+            f"numeric dim {batch.num.shape[1]} != encoder dim {w1.shape[0]}")
+    a1 = np.tanh(_rows_at(batch.num, w1) + params["num.b1"])
+    h_num = _rows_at(a1, params["num.w2"]) + params["num.b2"]
+
+    raw = [h_text, h_cat, h_num]
+    if not fusion_on:
+        return (raw[0] + raw[1] + raw[2]) / 3.0
+    M = len(MODALITIES)
+    hs = []
+    for mi, m in enumerate(MODALITIES):
+        acc = np.zeros(raw[mi].shape)
+        for ni, n in enumerate(MODALITIES):
+            if mi != ni:
+                acc += _rows_at(raw[ni], params[f"xm.{m}.{n}.v"])
+        hs.append(raw[mi] + acc / (M - 1))
+    w = params["fus.w"]
+    alpha = softmax(np.stack([row_dots(hs[m], w[m]) for m in range(M)], axis=1))
+    wc = params["fus.wc"]
+    if wc.shape[0] != M * hs[0].shape[1]:
+        raise NumericsError("modality count mismatch vs fusion params")
+    mlp = np.tanh(_rows_at(np.concatenate(hs, axis=1), wc) + params["fus.bc"])
+    beta = float(params["fus.beta"][0])
+    return sum(alpha[:, m, None] * hs[m] for m in range(M)) + beta * mlp
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

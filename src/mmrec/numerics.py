@@ -75,6 +75,28 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each pair of rows, the leading axes broadcast. Each
+    pair is one stacked (1 x d) @ (d x 1) product, which sums exactly as
+    ``np.dot`` of the two vectors does; a matrix-vector product would sum
+    in another order and differ in the last bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, equal bit for bit to ``np.linalg.norm``."""
+    return np.sqrt(row_dots(x, x))
+
+
+def row_cosines(a: np.ndarray, b: np.ndarray, norm_a: np.ndarray,
+                norm_b: np.ndarray) -> np.ndarray:
+    """:func:`cosine` of each pair of rows (leading axes broadcast), given
+    the row norms, equal bit for bit to the scalar function."""
+    if np.any(norm_a == 0.0) or np.any(norm_b == 0.0):
+        raise NumericsError("cosine of zero-norm vector")
+    return np.clip(row_dots(a, b) / (norm_a * norm_b), -1.0, 1.0)
+
+
 def finite_diff_grad(
     f: Callable[[np.ndarray], float], theta: np.ndarray, h: float = 1e-4
 ) -> np.ndarray:

@@ -19,8 +19,8 @@ from mmrec.generator import GenerationError
 from mmrec.model import FeatureFlags, Model, config_from_dataset, flatten, unflatten
 from mmrec.numerics import cosine, finite_diff_grad, make_rng, rel_error
 from mmrec.retrieval import (
-    ContextEntry,
     RetrievalConfig,
+    RetrievalIndex,
     retrieve_top_k,
     temporal_relevance,
 )
@@ -154,23 +154,22 @@ def test_retrieval_exactness():
     t0 = time.time()
     rng = make_rng(3)
     cfg = RetrievalConfig(k=10, sigma=50.0)
-    entries = []
+    rows = []
     for j in range(1000):
         base = j % 800  # every fifth embedding block repeats -> exact ties
         gen = make_rng(10_000 + base)
-        entries.append(ContextEntry(
-            entry_id=f"e{j:04d}", source_item_id=f"i{j:04d}",
-            embedding=gen.standard_normal(16),
-            timestamp=int(gen.integers(0, 500)),
-            credibility=float(gen.uniform()),
-            text=f"entry {j}",
-        ))
+        rows.append((f"e{j:04d}", gen.standard_normal(16),
+                     int(gen.integers(0, 500)), float(gen.uniform())))
+    ids, embs, stamps, creds = zip(*rows)
+    index = RetrievalIndex(list(ids), np.array(embs), np.array(stamps),
+                           np.array(creds))
+    entries = list(index)
 
     mismatches = 0
     for q in range(100):
         query = rng.standard_normal(16)
         t_now = float(rng.integers(0, 500))
-        got = retrieve_top_k(query, entries, cfg, t_now)
+        got = retrieve_top_k(query, index, cfg, t_now)
         oracle = sorted(
             ((cfg.lambda_sim * cosine(query, e.embedding)
               + cfg.lambda_temporal * temporal_relevance(t_now, e.timestamp, cfg.sigma)
@@ -358,7 +357,7 @@ def test_metric_oracles():
             abs(metrics.mrr(lists, truth) - mrr_ref),
             abs(metrics.coverage_at_100(lists, len(catalog)) - cov_ref),
             abs(metrics.novelty(lists, pop, len(catalog)) - nov_ref),
-            abs(np.mean([metrics.intra_list_diversity(lists[u], embs)
+            abs(np.mean([metrics.intra_list_diversity([embs[i] for i in lists[u]])
                          for u in lists]) - np.mean(ild_vals)),
             abs(metrics.fairness_score(scored, groups, tau) - fair_ref),
         )

@@ -143,6 +143,17 @@ def test_flag_override_changes_behavior(workdir, tmp_path, capsys):
         assert flag in capsys.readouterr().err
 
 
+def test_flag_override_names_any_feature_flag(workdir, tmp_path):
+    # an override is checked against the feature flags, not against the
+    # flags that the config file happens to list
+    cfg = json.loads(open(workdir["config"]).read())
+    cfg["flags"] = {"retrieval": False}
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(cfg))
+    assert main(["ingest", "--config", str(partial), "--flags", "debias=off"]) == EXIT_OK
+    assert main(["ingest", "--config", str(partial), "--flags", "bogus=off"]) == EXIT_DATA
+
+
 def test_usage_errors():
     assert main([]) == EXIT_USAGE
     assert main(["not-a-command"]) == EXIT_USAGE

@@ -206,6 +206,24 @@ def test_load_dataset_bad_items(tmp_path):
         load_dataset(ipath, str(items))
 
 
+def test_records_without_ids_name_their_line(tmp_path):
+    # a record without its id, or a line that is not an object, is a data
+    # error at path:line, not a KeyError
+    ipath = _write_tsv(tmp_path, ["u1\ti1\t-\t1", "u1\ti1\t-\t2", "u1\ti1\t-\t3"])
+    items = tmp_path / "items.jsonl"
+    items.write_text('{"item_id": "i1", "numeric": [1]}\n\n{"title": "no id"}\n')
+    with pytest.raises(DataError, match=r"items.jsonl:3: missing item_id"):
+        load_dataset(ipath, str(items))
+    items.write_text('{"item_id": "i1", "numeric": [1]}\n[1, 2]\n')
+    with pytest.raises(DataError, match=r"items.jsonl:2: not a JSON object"):
+        load_dataset(ipath, str(items))
+    items.write_text('{"item_id": "i1", "numeric": [1]}\n')
+    users = tmp_path / "users.jsonl"
+    users.write_text('{"user_id": "u1"}\n{"group": "g0"}\n')
+    with pytest.raises(DataError, match=r"users.jsonl:2: missing user_id"):
+        load_dataset(ipath, str(items), str(users))
+
+
 def test_load_dataset_inconsistent_numeric_dims(tmp_path):
     ipath = _write_tsv(tmp_path, ["u1\ti1\t-\t1", "u1\ti1\t-\t2", "u1\ti1\t-\t3"])
     items = tmp_path / "items.jsonl"

@@ -18,7 +18,7 @@ from mmrec.explain import (
     select_and_render,
     similar_from_history,
 )
-from mmrec.numerics import init_matrix, make_rng, softmax
+from mmrec.numerics import cosine, init_matrix, make_rng, softmax
 
 D = 6
 
@@ -57,15 +57,19 @@ def test_preference_aspect_hand_worked_and_uncovered_none():
     assert preference_aspect(np.full(3, 1 / 3), head, frozenset({"b", "c"})) == "b"
 
 
+def _neighbors(target, history, emb):
+    return [(h, cosine(emb[target], emb[h])) for h in history if h != target]
+
+
 def test_similar_from_history_tie_by_ascending_id():
     emb = {"t": np.array([1.0, 0.0]), "b": np.array([2.0, 0.0]),
            "a": np.array([3.0, 0.0]), "c": np.array([0.0, 1.0])}
-    got = similar_from_history("t", ["b", "c", "a"], emb, k=2)
+    got = similar_from_history(_neighbors("t", ["b", "c", "a"], emb), k=2)
     # a and b tie at cosine 1.0; ascending id puts a first
     assert [h for h, _ in got] == ["a", "b"]
     assert got[0][1] == pytest.approx(1.0)
     with pytest.raises(ExplainError):
-        similar_from_history("t", [], emb, k=1)
+        similar_from_history([], k=1)
 
 
 def test_golden_renders_byte_identical():
@@ -128,7 +132,8 @@ def test_end_to_end_explanation(tiny_ds):
     user = ds.users[uid]
     target = user.history[-1]
     text, decision = explain_recommendation(
-        user, ds.items[target], rng.standard_normal(D), head, emb,
+        ds.items[target], preference_distribution(rng.standard_normal(D), head),
+        head, _neighbors(target, user.history, emb),
     )
     assert decision.chosen_type in (PREFERENCE, SIMILARITY, FALLBACK)
     assert 0 < len(text) <= MAX_CHARS
@@ -145,7 +150,9 @@ def test_single_category_item_in_top_aspect_gets_preference():
                       categories=frozenset({"drama"}), numeric_features=np.zeros(1))
     user = UserRecord(user_id="u1", history=["i0"])
     emb = {"i1": np.ones(D), "i0": -np.ones(D)}
-    text, decision = explain_recommendation(user, item, np.zeros(D), head, emb)
+    text, decision = explain_recommendation(
+        item, preference_distribution(np.zeros(D), head), head,
+        _neighbors("i1", user.history, emb))
     assert decision.chosen_type == PREFERENCE
     assert decision.slots["aspect"] == "drama"
     assert decision.alpha_pref == pytest.approx(float(np.max(softmax(head.b))))

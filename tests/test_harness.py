@@ -3,13 +3,14 @@ flag-off bit-identity contracts, zero-epoch runs, loss decrease, and
 online-update determinism."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
 
 from mmrec import checkpoint as ckpt_io
 from mmrec import harness
-from mmrec.adaptive import EwcState, FeedbackWeights, OptimizerState
+from mmrec.adaptive import EwcState, FeedbackWeights, OptimizerState, selective_step
 from mmrec.harness import ExperimentConfig, HarnessError
 from mmrec.model import Model
 from mmrec.numerics import make_rng
@@ -145,6 +146,23 @@ def test_checkpoint_rejects_garbage(tmp_path):
         ckpt_io.load(str(path))
 
 
+def test_checkpoint_rejects_header_without_fields(tmp_path):
+    # a valid-JSON header that lacks the manifest, the optimizer state or
+    # the provenance is a checkpoint error, not a KeyError
+    path = tmp_path / "bad.ckpt"
+    ckpt_io.save(ckpt_io.Checkpoint(params={"w": np.zeros(3)}, adv={},
+                                    opt_state=OptimizerState()), str(path))
+    blob = path.read_bytes()
+    header = json.loads(blob[16:16 + int.from_bytes(blob[8:16], "little")])
+    for broken in ({}, [], {k: v for k, v in header.items() if k != "opt"},
+                   {**header, "opt": {}}, {**header, "manifest": {"params": []}},
+                   {k: v for k, v in header.items() if k != "seed"}):
+        raw = json.dumps(broken).encode()
+        path.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw)
+        with pytest.raises(ckpt_io.CheckpointError, match="header lacks"):
+            ckpt_io.load(str(path))
+
+
 def test_retrieval_off_equals_k_zero(ds):
     # turning the retrieval flag off must be bit-identical to K=0
     flags_off = {**_config().flags, "retrieval": False}
@@ -229,23 +247,26 @@ def test_recommend_payload_schema(ds):
 
 
 def test_each_call_encodes_catalog_and_user_once(ds, monkeypatch):
-    # recommend_payload shares one catalog encode between retrieval and the
-    # explanations, and one user encode between retrieval and ranking;
-    # evaluate shares one catalog encode between retrieval and ILD;
-    # explain_payload encodes only the item and the user's history items
+    # reads share one batched catalog encode per parameter snapshot:
+    # repeated recommend_payload and evaluate calls encode the catalog once,
+    # and a step makes the next read encode it once more; each read encodes
+    # its user once; explain_payload encodes only the item and the user's
+    # history items
     cfg = _config()
     ckpt, _ = harness.train(cfg, ds)
     model = harness.model_from_checkpoint(ckpt, cfg, ds)
+    initial = {k: v.copy() for k, v in model.params.items()}
     labels = ckpt.extra["aspect_labels"]
     uid = sorted(ds.users)[0]
     user = ds.users[uid]
     item = next(i for i in ds.item_ids if i not in user.history)
     flags = cfg.feature_flags()
     h_user = model.encode_user(user, user.history, ds, flags)[0]
-    expected = harness.explanations(model, ds, user, h_user,
-                                    model.item_embeddings(ds, flags), [item],
+    table = Model(model.cfg, params=model.params).item_table(ds, flags)
+    expected = harness.explanations(model, ds, user, h_user, [item],
+                                    table.rows([item]), table.rows(user.history),
                                     labels)[0]
-    counts = {"encode_item": 0, "encode_user": 0}
+    counts = {"item_embeddings": 0, "encode_item": 0, "encode_user": 0}
     for name in counts:
         original = getattr(Model, name)
 
@@ -255,17 +276,77 @@ def test_each_call_encodes_catalog_and_user_once(ds, monkeypatch):
 
         monkeypatch.setattr(Model, name, counted)
 
-    harness.recommend_payload(model, ds, cfg, uid, 5, labels)
-    assert counts == {"encode_item": ds.n_items, "encode_user": 1}
-    counts.update(encode_item=0, encode_user=0)
+    def reset():
+        counts.update(item_embeddings=0, encode_item=0, encode_user=0)
+
+    for _ in range(3):
+        harness.recommend_payload(model, ds, cfg, uid, 5, labels)
     _, aux = harness.evaluate(model, ds, cfg)
-    assert counts == {"encode_item": ds.n_items,
-                      "encode_user": len(aux["scored_lists"])}
-    counts.update(encode_item=0, encode_user=0)
+    assert counts == {"item_embeddings": 1, "encode_item": 0,
+                      "encode_user": 3 + len(aux["scored_lists"])}
+    reset()
+    opt = OptimizerState(gamma_m=cfg.gamma_m, eta0=cfg.eta0)
+    selective_step(model.params, {k: np.full_like(v, 1e-3)
+                                  for k, v in model.params.items()}, opt)
+    for _ in range(2):
+        harness.recommend_payload(model, ds, cfg, uid, 5, labels)
+    assert counts == {"item_embeddings": 1, "encode_item": 0, "encode_user": 2}
+    reset()
+    model.params = initial
     payload = harness.explain_payload(model, ds, cfg, uid, item, labels)
     assert payload == {"user_id": uid, "item_id": item, **expected}
+    assert counts["item_embeddings"] == 0
     assert counts["encode_item"] <= 1 + len(user.history)
     assert counts["encode_user"] == 1
+
+
+def test_item_table_follows_every_parameter_change(ds):
+    # whatever changes the item encoders, the next read equals a read of a
+    # fresh model on the same parameters
+    cfg = _config()
+    ckpt, _ = harness.train(cfg, ds)
+    model = harness.model_from_checkpoint(ckpt, cfg, ds)
+    initial = {k: v.copy() for k, v in model.params.items()}
+    labels = ckpt.extra["aspect_labels"]
+    uid = sorted(ds.users)[1]
+    flags = cfg.feature_flags()
+
+    def fresh():
+        return Model(model.cfg, params={k: v.copy() for k, v in model.params.items()},
+                     adv=model.adv)
+
+    def check(config=cfg):
+        got = harness.recommend_payload(model, ds, config, uid, 5, labels)
+        assert got == harness.recommend_payload(fresh(), ds, config, uid, 5, labels)
+        reports = harness.evaluate(model, ds, config)[0]
+        assert {k: r.as_dict() for k, r in reports.items()} == {
+            k: r.as_dict() for k, r in harness.evaluate(fresh(), ds, config)[0].items()}
+        return model.item_table(ds, config.feature_flags()).embeddings.copy()
+
+    seen = [check()]
+    # a momentum step, in place
+    opt = OptimizerState(gamma_m=cfg.gamma_m, eta0=cfg.eta0)
+    selective_step(model.params, {k: np.full_like(v, 1e-3)
+                                  for k, v in model.params.items()}, opt)
+    seen.append(check())
+    # an in-place edit of one item encoder tensor
+    model.params["fus.wc"][0, 0] += 0.5
+    seen.append(check())
+    # the fusion flag
+    seen.append(check(_config(flags={**cfg.flags, "fusion": False})))
+    # a replaced parameter dict
+    model.params = initial
+    seen.append(check())
+    for a, b in zip(seen, seen[1:]):
+        assert not np.array_equal(a, b)
+    assert np.array_equal(seen[0], seen[-1])
+    # the table is a snapshot: a step does not change one already taken
+    table = model.item_table(ds, flags)
+    before = table.embeddings.copy()
+    selective_step(model.params, {k: np.full_like(v, 1e-3)
+                                  for k, v in model.params.items()}, opt)
+    assert np.array_equal(table.embeddings, before)
+    assert model.item_table(ds, flags) is not table
 
 
 def test_online_update_deterministic_and_logged(ds):
@@ -324,6 +405,60 @@ def test_online_update_histories_last_for_one_call(ds):
     plain = after_first.example_nll(user, before[uid], target, ds, flags)
     assert logs[1]["nll"] == extended.loss
     assert logs[1]["nll"] != plain.loss
+
+
+def test_online_update_step_is_bounded(ds):
+    # the combined gradient is clipped at train's per-example share of its
+    # bound, so with no momentum one step moves the parameters by at most
+    # eta * grad_clip / batch_size; the log keeps the norm before the clip
+    cfg = _config(grad_clip=0.8, batch_size=8, gamma_m=0.0)
+    ckpt, _ = harness.train(cfg, ds)
+    model = harness.model_from_checkpoint(ckpt, cfg, ds)
+    bound = cfg.grad_clip / cfg.batch_size
+    uid = sorted(ds.users)[2]
+    for event in ({"user": uid, "item": ds.item_ids[5], "kind": "implicit"},
+                  {"user": uid, "item": ds.item_ids[6], "kind": "explicit",
+                   "value": 1.0}):
+        before = {k: v.copy() for k, v in model.params.items()}
+        opt = OptimizerState(gamma_m=0.0, eta0=cfg.eta0)
+        log = harness.online_update(model, ds, cfg, [event], opt,
+                                    weights=FeedbackWeights())[0]
+        assert log["grad_norm"] > bound
+        moved = np.sqrt(sum(float(np.sum((model.params[k] - before[k]) ** 2))
+                            for k in before))
+        assert moved <= log["eta"] * bound * (1 + 1e-9)
+        assert moved >= log["eta"] * bound * (1 - 1e-9)
+
+
+def test_online_update_without_adaptive_rate_stays_finite():
+    # without the uncertainty-scaled rate and without an EWC anchor, an
+    # unclipped stream of single-event updates diverges (the target's
+    # probability underflows and the update raises GenerationError); the
+    # clipped one does not. The offline model and the event stream are the
+    # planted 200-user population's, as in the benchmark.
+    ds = planted_categories(n_users=200, n_items=500, n_categories=10,
+                            interactions_per_user=20, cats_per_user=1,
+                            preference_strength=0.95, zipf_s=0.5, seed=0)
+    cfg = ExperimentConfig(d=16, d_k=8, n_blocks=1, max_seq=24, max_tokens=8,
+                           batch_size=8, seed=0, retrieval_k=2, n_aspects=10,
+                           eta0=0.1, propensity_clip=0.1, epochs=1,
+                           max_prefixes_per_user=4)
+    ckpt, _ = harness.train(cfg, ds)
+    model = harness.model_from_checkpoint(ckpt, cfg, ds)
+    cfg.flags["adaptive"] = False
+    opt, weights = ckpt.opt_state, FeedbackWeights(gamma_reg=cfg.gamma_reg)
+    held_out = sorted(ds.split.validation + ds.split.test)
+    order = make_rng(1).permutation(len(held_out))
+    losses = []
+    for n in range(600):
+        it = ds.interactions[held_out[int(order[n % len(order)])]]
+        event = {"user": it.user_id, "item": it.item_id, "kind": it.feedback_kind}
+        if it.rating is not None:
+            event["value"] = it.rating
+        log = harness.online_update(model, ds, cfg, [event], opt, weights=weights)[0]
+        losses.append(log["loss"])
+    assert np.all(np.isfinite(losses))
+    assert all(np.all(np.isfinite(v)) for v in model.params.values())
 
 
 def test_online_update_rejects_malformed_event(ds):

@@ -91,23 +91,24 @@ def test_ild_hand_worked():
     emb = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
            "c": np.array([1.0, 0.0])}
     # pairs: (a,b)=1, (a,c)=0, (b,c)=1 -> mean 2/3
-    assert intra_list_diversity(["a", "b", "c"], emb) == pytest.approx(2 / 3)
-    assert intra_list_diversity(["a"], emb) == 0.0
+    assert intra_list_diversity([emb["a"], emb["b"], emb["c"]]) == pytest.approx(2 / 3)
+    assert intra_list_diversity([emb["a"]]) == 0.0
     # identical items -> zero diversity
-    assert intra_list_diversity(["a", "c"], emb) == pytest.approx(0.0)
+    assert intra_list_diversity([emb["a"], emb["c"]]) == pytest.approx(0.0)
 
 
 def test_ild_matches_bruteforce():
+    # bit for bit: the scalar cosines summed pair by pair in list order
     rng = make_rng(7)
-    emb = {f"i{j}": rng.standard_normal(4) + 0.01 for j in range(8)}
-    items = list(emb)
-    got = intra_list_diversity(items, emb)
-    total, pairs = 0.0, 0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            total += 1 - cosine(emb[items[i]], emb[items[j]])
-            pairs += 1
-    assert got == pytest.approx(total / pairs, abs=1e-12)
+    for n in (2, 3, 8, 10):
+        for _ in range(25):
+            vecs = rng.standard_normal((n, 4)) + 0.01
+            total, pairs = 0.0, 0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    total += 1.0 - cosine(vecs[i], vecs[j])
+                    pairs += 1
+            assert intra_list_diversity(vecs) == total / pairs
 
 
 def test_coverage_hand_worked():

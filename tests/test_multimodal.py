@@ -1,12 +1,15 @@
-"""Encoder/fusion oracle tests: hand-worked values for trivial inputs and
-finite-difference checks of the full hand-derived backward pass."""
+"""Encoder/fusion oracle tests: hand-worked values for trivial inputs,
+finite-difference checks of the full hand-derived backward pass, and the
+batched item encoder against the per-item forward, bit for bit."""
 
 import numpy as np
 import pytest
 
 from mmrec.multimodal import (
     MODALITIES,
+    batch_inputs,
     encode_categorical,
+    encode_items,
     encode_numeric,
     encode_text,
     fuse,
@@ -204,3 +207,45 @@ def test_backward_accumulates(params):
 
 def test_modalities_fixed_order():
     assert MODALITIES == ("text", "cat", "num")
+
+
+def _item(rng, n_tokens, n_cats, vocab=VOCAB):
+    return {"text": [int(t) for t in rng.integers(0, vocab, n_tokens)],
+            "cat": sorted(int(c) for c in rng.choice(NCAT, n_cats, replace=False)),
+            "num": rng.standard_normal(NUMD), "num_prefix": "num"}
+
+
+@pytest.mark.parametrize("fusion_on", [True, False])
+def test_encode_items_equals_per_item_forward_bit_for_bit(params, fusion_on):
+    # empty text, mixed token lengths (some past the positional table and
+    # truncated), empty and multi-category sets; nonzero biases and gate
+    rng = make_rng(4)
+    p = {k: v.copy() for k, v in params.items()}
+    for name in ("num.b1", "num.b2", "fus.bc"):
+        p[name] += rng.standard_normal(p[name].shape)
+    p["fus.beta"][0] = 0.8
+    inputs = [_item(rng, n_tokens, n_cats)
+              for n_tokens in (0, 1, 2, 5, TOKENS, TOKENS + 3)
+              for n_cats in (0, 1, 3) for _ in range(4)]
+    rows = encode_items(batch_inputs(inputs), p, fusion_on)
+    assert rows.shape == (len(inputs), D)
+    for inp, row in zip(inputs, rows):
+        assert np.array_equal(row, multimodal_forward(inp, p, fusion_on)[0])
+
+
+def test_encode_items_rejects_out_of_range_ids(params):
+    rng = make_rng(5)
+    good = [_item(rng, 3, 1) for _ in range(3)]
+    for bad, match in ((dict(good[0], text=[1, VOCAB]), "vocabulary"),
+                       (dict(good[0], text=[-1]), "vocabulary"),
+                       (dict(good[0], cat=[NCAT]), "category"),
+                       (dict(good[0], cat=[-1, 0]), "category"),
+                       (dict(good[0], num=np.zeros(NUMD + 1)), "numeric dim")):
+        with pytest.raises(NumericsError, match=match):
+            multimodal_forward(bad, params)
+        with pytest.raises(NumericsError, match=match):
+            encode_items(batch_inputs(good + [bad]), params)
+    nonfinite = {k: v.copy() for k, v in params.items()}
+    nonfinite["text.emb"][good[1]["text"][0]] = np.inf
+    with pytest.raises(NumericsError, match="finite"), np.errstate(invalid="ignore"):
+        encode_items(batch_inputs(good), nonfinite)

@@ -2,12 +2,18 @@
 functions by name (``perfbench/tracing.py``'s ``TARGETS``), and its
 retrieval check reads the entries of ``harness.build_retrieval_index``
 (``perfbench/checks.py``). A change to either breaks only
-``perfbench/run.py``, which the tier-1 suite does not run, so these tests
-load the benchmark's modules by path and check both here."""
+``perfbench/run.py``, so these tests load the benchmark's modules by path
+and check both here, and run the benchmark itself once per workload at its
+shortest length."""
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 from mmrec import harness, retrieval, synth
 
@@ -63,3 +69,17 @@ def test_retrieval_matches_benchmark_oracle():
         why = checks.retrieval_mismatch([e.entry_id for e, _ in got.entries],
                                         oracle, rconf.k)
         assert why is None, f"{uid}: {why}"
+
+
+@pytest.mark.parametrize("workload,trace", [("serve", "1"), ("feedback", "0")])
+def test_benchmark_run_is_correct(workload, trace):
+    # one run at its minimum of rounds; populations and traces go to the
+    # git-ignored perfbench/out/
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=900)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr[-3000:]
+    assert result["failed"] == 0, proc.stderr[-3000:]
